@@ -23,7 +23,12 @@ import "fmt"
 // at the execution window's end (Series.Finish) — mid-drain trailing
 // rows are dropped and a final partial epoch flushes the remaining
 // increments, so delta columns sum to the run's snapshot totals.
-const SimVersion = "tilesim-sim-v5"
+// v6: energy and means are computed from integer totals when read
+// (link bytes per wire kind, router bytes/flits, cycle sums) instead of
+// accumulated per event in float64. Float rounding moves Joule and
+// mean-latency values by at most ~1e-10 relative; every count, min,
+// max and percentile is unchanged.
+const SimVersion = "tilesim-sim-v6"
 
 // Canonical returns a stable one-line encoding of every
 // simulation-relevant field of the configuration. Two configurations

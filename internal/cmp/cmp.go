@@ -117,16 +117,25 @@ func (c RunConfig) Label() string {
 // implies: 3 control bytes plus the compressed payload for VL layouts
 // (paper Section 4.3), 11 bytes for the L-Wire layout, 0 for baseline.
 func (c RunConfig) VLWidthBytes() (int, error) {
+	var codec compress.Codec
+	if w := c.wiring(); w == "vlb" || w == "vlbpw" {
+		var err error
+		if codec, err = c.Compression.Build(c.tiles()); err != nil {
+			return 0, err
+		}
+	}
+	return c.vlWidth(codec)
+}
+
+// vlWidth is VLWidthBytes for the configuration's already-built codec
+// (read only by the VL layouts).
+func (c RunConfig) vlWidth(codec compress.Codec) (int, error) {
 	switch c.wiring() {
 	case "baseline":
 		return 0, nil
 	case "lpw":
 		return noc.ShortMax, nil
 	case "vlb", "vlbpw":
-		codec, err := c.Compression.Build(c.tiles())
-		if err != nil {
-			return 0, err
-		}
 		w := noc.ControlBytes + codec.CompressedPayloadBytes()
 		if w < 3 || w > 5 {
 			return 0, fmt.Errorf("cmp: %s wiring needs a compressing scheme (VL channels exist at 3-5 bytes, %q implies %d)",
@@ -229,8 +238,7 @@ type mgrSnapshot struct {
 // l1Snapshot captures the chip-wide L1 counters.
 type l1Snapshot struct {
 	loads, stores, misses uint64
-	missLatSum            float64
-	missLatN              uint64
+	missLatSum, missLatN  uint64
 }
 
 func (s *System) snapMgr() mgrSnapshot {
@@ -292,7 +300,7 @@ func NewSystem(cfg RunConfig) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	vlWidth, err := cfg.VLWidthBytes()
+	vlWidth, err := cfg.vlWidth(codec)
 	if err != nil {
 		return nil, err
 	}
@@ -330,9 +338,6 @@ func NewSystem(cfg RunConfig) (*System, error) {
 	k := sim.NewKernel()
 	meter := energy.NewMeter(topo.Nodes())
 	net := mesh.New(k, netCfg, meter)
-	for _, sw := range net.StaticWires() {
-		meter.AddStaticWires(sw.Kind, sw.Length, sw.Wires)
-	}
 	if err := cfg.Faults.Validate(); err != nil {
 		return nil, fmt.Errorf("cmp: %w", err)
 	}
@@ -436,7 +441,7 @@ func (s *System) Run() (Result, error) {
 		r.PWFraction = float64(mgrNow.pw-s.warmMgr.pw) / float64(remote)
 	}
 	if n := l1Now.missLatN - s.warmL1.missLatN; n > 0 {
-		r.MeanMissLatency = (l1Now.missLatSum - s.warmL1.missLatSum) / float64(n)
+		r.MeanMissLatency = float64(l1Now.missLatSum-s.warmL1.missLatSum) / float64(n)
 	}
 	r.RequestLatencyP50 = s.Net.LatencyPercentile(noc.ClassRequest, 0.50)
 	r.RequestLatencyP99 = s.Net.LatencyPercentile(noc.ClassRequest, 0.99)

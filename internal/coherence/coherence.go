@@ -36,7 +36,6 @@ import (
 	"tilesim/internal/noc"
 	"tilesim/internal/obs"
 	"tilesim/internal/sim"
-	"tilesim/internal/stats"
 )
 
 // Sender injects a protocol message into the transport. The transport
@@ -113,10 +112,9 @@ type Protocol struct {
 	// message costs no allocation in steady state.
 	freeJobs *sendJob
 
-	// Observability (obs.go): optional tracer and the chip-wide
-	// MSHR-residency distribution. Reads only; never affects timing.
-	tracer        *obs.Tracer
-	mshrResidency stats.Mean
+	// tracer is the optional miss-lifecycle tracer (obs.go). Reads
+	// only; never affects timing.
+	tracer *obs.Tracer
 }
 
 // sendJob is one pooled deferred send: a prebound kernel event carrying

@@ -196,7 +196,7 @@ func (l *L1Controller) runWaiter(w cache.Waiter) {
 	case cache.WaiterFwd:
 		l.serviceFwd(w.Addr, w.ReplyTo, w.Txn, w.IsWrite)
 	case cache.WaiterFinish:
-		l.MissLatency.Observe(float64(uint64(l.p.k.Now()) - w.Start))
+		l.MissLatency.Observe(uint64(l.p.k.Now()) - w.Start)
 		if l.p.tracer != nil && w.SpanID != 0 {
 			l.traceMiss(noc.Type(w.Req), w.Addr, sim.Time(w.Start))
 		}
@@ -534,17 +534,15 @@ func (l *L1Controller) onWBAck(m *noc.Message) {
 }
 
 // freeEntry releases the MSHR entry for block, recording its
-// allocation-to-free residency (per-tile and chip-wide), and runs the
-// entry's parked waiters from the controller's scratch buffer. The
-// entry returns to the pool — poisoned, Gen bumped — before the first
-// waiter runs, so a waiter that re-allocates the same block can never
-// alias the dead transaction's state.
+// allocation-to-free residency, and runs the entry's parked waiters
+// from the controller's scratch buffer. The entry returns to the pool
+// — poisoned, Gen bumped — before the first waiter runs, so a waiter
+// that re-allocates the same block can never alias the dead
+// transaction's state.
 //
 //tilesim:release MSHREntry
 func (l *L1Controller) freeEntry(block uint64, e *cache.MSHREntry) {
-	res := float64(uint64(l.p.k.Now()) - e.AllocAt)
-	l.MSHRResidency.Observe(res)
-	l.p.mshrResidency.Observe(res)
+	l.MSHRResidency.Observe(uint64(l.p.k.Now()) - e.AllocAt)
 	if l.draining {
 		panic("coherence: reentrant MSHR waiter drain")
 	}

@@ -40,8 +40,9 @@ func (l *L1Controller) traceMiss(req noc.Type, block uint64, start sim.Time) {
 
 // RegisterMetrics installs the protocol's counters in a registry under
 // the "coh." prefix (DESIGN.md §10 naming): chip-wide sums of the L1
-// demand/traffic counters, the chip-wide MSHR-residency distribution,
-// and per-tile miss latency and MSHR state.
+// demand/traffic counters, the chip-wide MSHR-residency distribution
+// (merged from the per-tile accumulators at read time), and per-tile
+// miss latency and MSHR state.
 func (p *Protocol) RegisterMetrics(r *obs.Registry) {
 	sum := func(pick func(*L1Controller) *stats.Counter) func() uint64 {
 		return func() uint64 {
@@ -61,14 +62,16 @@ func (p *Protocol) RegisterMetrics(r *obs.Registry) {
 	r.Counter("coh.l1.hints", sum(func(l *L1Controller) *stats.Counter { return &l.Hints }))
 	r.Counter("coh.l1.interventions", sum(func(l *L1Controller) *stats.Counter { return &l.Interventions }))
 	r.Counter("coh.l1.invalidations", sum(func(l *L1Controller) *stats.Counter { return &l.Invalidations }))
-	r.Mean("coh.mshr.residency", &p.mshrResidency)
 	r.Gauge("coh.mshr.live", func() float64 { return float64(p.MSHRLive()) })
 	r.Gauge("coh.outstanding", func() float64 { return float64(p.OutstandingTransactions()) })
+	residency := make([]*stats.Mean, len(p.l1s))
 	for i, l := range p.l1s {
 		prefix := fmt.Sprintf("coh.l1.%02d.", i)
 		r.Mean(prefix+"miss_latency", &l.MissLatency)
 		r.Mean(prefix+"mshr_residency", &l.MSHRResidency)
+		residency[i] = &l.MSHRResidency
 	}
+	r.Mean("coh.mshr.residency", residency...)
 }
 
 // RegisterSeries installs the protocol's time-resolved probes in an

@@ -2,9 +2,13 @@
 // the paper's metrics: the link ED^2P of Figure 6 (bottom) and the
 // full-CMP ED^2P of Figure 7.
 //
-// Link energy is physical: dynamic energy per bit transition and leakage
-// per wire from the Table 2/3 catalog (internal/wire), integrated over
-// the run. Router energy is an Orion-class per-byte/per-flit model.
+// The run only counts: the network increments integer activity totals
+// on a Meter (link payload bytes per wire kind, router bytes and flits,
+// compression events), and every Joule is priced from those counts when
+// a result is read. Link energy is physical: dynamic energy per bit
+// transition and leakage per wire from the Table 2/3 catalog
+// (internal/wire). Router energy is an Orion-class per-byte/per-flit
+// model.
 //
 // Full-CMP energy uses a share calibration instead of absolute core
 // watts: the baseline run of each application pins the interconnect at a
@@ -58,83 +62,131 @@ const (
 	RouterStaticWEach = 15e-3
 )
 
-// Meter accumulates dynamic energy during a run. It implements
-// mesh.Observer. Static contributions are integrated at reporting time
-// from the run length.
+// Meter is the integer activity record of a run. The network counts
+// into it on every hop; nothing is priced until a report is read, and
+// static contributions are integrated from the run length then.
 type Meter struct {
-	linkDynJ    Joules
-	routerDynJ  Joules
-	comprEvents uint64
+	count DynSnapshot
 
-	// Standing resources for static integration.
+	// Standing resources, registered by the network at construction.
+	linkLengthM [wire.NumKinds]float64 // per wire kind; 0 = unregistered
 	staticLinkW float64
 	routers     int
-	clockHz     float64
 }
 
-// NewMeter builds a meter for a network with the given standing wires
-// and router count.
+// DynSnapshot is the meter's activity counts, all monotone. A
+// measurement window subtracts the snapshot taken at its start; the
+// difference is exact.
+type DynSnapshot struct {
+	// LinkBytes is the payload bytes summed over link traversals, per
+	// wire kind.
+	LinkBytes [wire.NumKinds]uint64
+	// RouterBytes and RouterFlits are the payload bytes and flits summed
+	// over router traversals.
+	RouterBytes, RouterFlits uint64
+	// ComprEvents counts address compressions.
+	ComprEvents uint64
+}
+
+// sub returns the counts accumulated since prev.
+func (s DynSnapshot) sub(prev DynSnapshot) DynSnapshot {
+	for k := range s.LinkBytes {
+		s.LinkBytes[k] -= prev.LinkBytes[k]
+	}
+	s.RouterBytes -= prev.RouterBytes
+	s.RouterFlits -= prev.RouterFlits
+	s.ComprEvents -= prev.ComprEvents
+	return s
+}
+
+// NewMeter builds a meter for a network with the given router count.
 func NewMeter(routers int) *Meter {
-	return &Meter{routers: routers, clockHz: wire.ClockHz}
+	return &Meter{routers: routers}
 }
 
-// AddStaticWires registers standing link wires (call once per plane,
-// with the totals from mesh.Network.StaticWires).
+// AddStaticWires registers one plane of standing link wires: wires
+// wires of kind, each lengthM long, summed over every link. The network
+// calls it once per plane; link traversals of kind are priced at
+// lengthM.
 func (m *Meter) AddStaticWires(kind wire.Kind, lengthM float64, wires int) {
+	m.linkLengthM[kind] = lengthM
 	m.staticLinkW += wire.StaticPowerWatts(kind, lengthM, wires) * LinkLeakageDuty
 }
 
-// LinkTraversal implements mesh.Observer: msgBytes of payload cross one
-// link of the given kind.
-func (m *Meter) LinkTraversal(kind wire.Kind, lengthM float64, msgBytes int, flits noc.FlitCount) {
-	bits := float64(msgBytes * 8)
-	m.linkDynJ += Joules(bits * Alpha * wire.DynamicEnergyPerTransition(kind, lengthM))
+// LinkTraversal records msgBytes of payload crossing one link of the
+// given wire kind.
+func (m *Meter) LinkTraversal(kind wire.Kind, msgBytes int) {
+	m.count.LinkBytes[kind] += uint64(msgBytes)
 }
 
-// RouterHop implements mesh.Observer.
+// RouterHop records one message crossing one router.
 func (m *Meter) RouterHop(msgBytes int, flits noc.FlitCount) {
-	m.routerDynJ += Joules(float64(msgBytes)*RouterDynPerByteJ + float64(flits)*RouterDynPerFlitJ)
+	m.count.RouterBytes += uint64(msgBytes)
+	m.count.RouterFlits += uint64(flits)
 }
 
 // CompressionEvent records one address compression/decompression (one
 // sender search plus one receiver access).
-func (m *Meter) CompressionEvent() { m.comprEvents++ }
+func (m *Meter) CompressionEvent() { m.count.ComprEvents++ }
 
 // ComprEvents returns the number of compression events recorded.
-func (m *Meter) ComprEvents() uint64 { return m.comprEvents }
+func (m *Meter) ComprEvents() uint64 { return m.count.ComprEvents }
 
-// DynSnapshot captures the monotone dynamic-energy accumulators, so a
-// measurement window can subtract a warmup prefix.
-type DynSnapshot struct {
-	LinkDynJ    Joules
-	RouterDynJ  Joules
-	ComprEvents uint64
+// Snapshot returns the current counts.
+func (m *Meter) Snapshot() DynSnapshot { return m.count }
+
+// linkDynJ prices link traversal counts, in wire-kind order: each
+// payload bit toggles with probability Alpha per traversal.
+func (m *Meter) linkDynJ(c DynSnapshot) Joules {
+	var j Joules
+	for k, bytes := range c.LinkBytes {
+		if bytes == 0 {
+			continue
+		}
+		lengthM := m.linkLengthM[k]
+		if lengthM == 0 {
+			panic(fmt.Sprintf("energy: traversals of unregistered wire kind %v", wire.Kind(k)))
+		}
+		j += Joules(float64(bytes*8) * Alpha * wire.DynamicEnergyPerTransition(wire.Kind(k), lengthM))
+	}
+	return j
 }
 
-// Snapshot returns the current accumulator values.
-func (m *Meter) Snapshot() DynSnapshot {
-	return DynSnapshot{LinkDynJ: m.linkDynJ, RouterDynJ: m.routerDynJ, ComprEvents: m.comprEvents}
+// routerDynJ prices router traversal counts.
+func routerDynJ(c DynSnapshot) Joules {
+	return Joules(float64(c.RouterBytes)*RouterDynPerByteJ + float64(c.RouterFlits)*RouterDynPerFlitJ)
 }
 
-// LinkSince returns the link energy accumulated over a window of the
-// given cycles that started at snapshot s.
+// LinkSince returns the link energy of a window of the given cycles
+// that started at snapshot s.
 func (m *Meter) LinkSince(s DynSnapshot, cycles uint64) LinkReport {
 	return LinkReport{
-		DynJ:    m.linkDynJ - s.LinkDynJ,
-		StaticJ: Joules(m.staticLinkW * float64(m.Seconds(cycles))),
+		DynJ:    m.linkDynJ(m.count.sub(s)),
+		StaticJ: Joules(m.staticLinkW * float64(Seconds(cycles))),
 	}
 }
 
 // InterconnectSince returns links+routers energy over a window.
 func (m *Meter) InterconnectSince(s DynSnapshot, cycles uint64) Joules {
-	t := m.Seconds(cycles)
-	return m.LinkSince(s, cycles).TotalJ() + (m.routerDynJ - s.RouterDynJ) +
-		Joules(RouterStaticWEach*float64(m.routers)*float64(t))
+	return m.LinkSince(s, cycles).TotalJ() + routerDynJ(m.count.sub(s)) +
+		Joules(RouterStaticWEach*float64(m.routers)*float64(Seconds(cycles)))
 }
 
+// Link returns the link energy over a run of the given cycles.
+func (m *Meter) Link(cycles uint64) LinkReport { return m.LinkSince(DynSnapshot{}, cycles) }
+
+// InterconnectJ returns links plus routers energy over the run: the
+// "interconnect" whose chip share anchors the full-CMP model.
+func (m *Meter) InterconnectJ(cycles uint64) Joules {
+	return m.InterconnectSince(DynSnapshot{}, cycles)
+}
+
+// RouterDynJ returns the router dynamic energy of every recorded hop.
+func (m *Meter) RouterDynJ() Joules { return routerDynJ(m.count) }
+
 // Seconds converts a cycle count to seconds at the system clock.
-func (m *Meter) Seconds(cycles uint64) wire.Seconds {
-	return wire.Seconds(float64(cycles) / m.clockHz)
+func Seconds(cycles uint64) wire.Seconds {
+	return wire.Seconds(float64(cycles) / wire.ClockHz)
 }
 
 // LinkReport is the energy of the inter-router links only (the subject
@@ -146,25 +198,6 @@ type LinkReport struct {
 
 // TotalJ returns dynamic plus static link energy.
 func (r LinkReport) TotalJ() Joules { return r.DynJ + r.StaticJ }
-
-// Link returns the link energy over a run of the given cycles.
-func (m *Meter) Link(cycles uint64) LinkReport {
-	return LinkReport{
-		DynJ:    m.linkDynJ,
-		StaticJ: Joules(m.staticLinkW * float64(m.Seconds(cycles))),
-	}
-}
-
-// InterconnectJ returns links plus routers energy over the run: the
-// "interconnect" whose chip share anchors the full-CMP model.
-func (m *Meter) InterconnectJ(cycles uint64) Joules {
-	t := m.Seconds(cycles)
-	return m.Link(cycles).TotalJ() + m.routerDynJ +
-		Joules(RouterStaticWEach*float64(m.routers)*float64(t))
-}
-
-// RouterDynJ returns the accumulated router dynamic energy.
-func (m *Meter) RouterDynJ() Joules { return m.routerDynJ }
 
 // ED2P returns the energy-delay^2 product in J*s^2 for an energy and a
 // run length in cycles.

@@ -7,21 +7,48 @@ import (
 	"tilesim/internal/wire"
 )
 
-func TestLinkDynAccumulation(t *testing.T) {
+// hetMeter returns a meter with the 4x4 VL+B planes registered, as
+// mesh.New registers them.
+func hetMeter() *Meter {
 	m := NewMeter(16)
+	m.AddStaticWires(wire.B8X, 5e-3, 34*8*48)
+	m.AddStaticWires(wire.VL5B, 5e-3, 5*8*48)
+	return m
+}
+
+func TestLinkDynAccumulation(t *testing.T) {
+	m := hetMeter()
 	// 11 bytes over one 5mm B8X link: 88 bits * 0.5 * 3.3125 pJ.
-	m.LinkTraversal(wire.B8X, 5e-3, 11, 1)
+	m.LinkTraversal(wire.B8X, 11)
 	want := 88 * 0.5 * wire.DynamicEnergyPerTransition(wire.B8X, 5e-3)
 	got := float64(m.Link(0).DynJ)
 	if math.Abs(got-want)/want > 1e-12 {
 		t.Fatalf("link dyn %g, want %g", got, want)
 	}
 	// VL wires cost less per bit.
-	m2 := NewMeter(16)
-	m2.LinkTraversal(wire.VL5B, 5e-3, 11, 3)
+	m2 := hetMeter()
+	m2.LinkTraversal(wire.VL5B, 11)
 	if float64(m2.Link(0).DynJ) >= got {
 		t.Fatal("VL traversal should cost less than B8X")
 	}
+	// Counts add: two traversals price as one of twice the bytes.
+	m.LinkTraversal(wire.B8X, 11)
+	if got2 := float64(m.Link(0).DynJ); math.Abs(got2-2*want)/want > 1e-12 {
+		t.Fatalf("two traversals %g, want %g", got2, 2*want)
+	}
+}
+
+// An unregistered wire kind has no length to price at; pricing its
+// traffic is a wiring bug, not zero energy.
+func TestUnregisteredKindPanics(t *testing.T) {
+	m := hetMeter()
+	m.LinkTraversal(wire.PW4X, 8)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("pricing traffic on an unregistered kind did not panic")
+		}
+	}()
+	m.Link(0)
 }
 
 func TestStaticIntegratesOverTime(t *testing.T) {
@@ -33,7 +60,7 @@ func TestStaticIntegratesOverTime(t *testing.T) {
 		t.Fatalf("static not linear in time: %g vs %g", e1, e2)
 	}
 	wantW := wire.StaticPowerWatts(wire.B8X, 5e-3, 600*48) * LinkLeakageDuty
-	if gotW := float64(e1) / float64(m.Seconds(4_000_000)); math.Abs(gotW-wantW)/wantW > 1e-9 {
+	if gotW := float64(e1) / float64(Seconds(4_000_000)); math.Abs(gotW-wantW)/wantW > 1e-9 {
 		t.Fatalf("static power %g W, want %g W", gotW, wantW)
 	}
 }
@@ -163,12 +190,12 @@ func TestCompressionEvents(t *testing.T) {
 func TestSnapshotWindows(t *testing.T) {
 	m := NewMeter(16)
 	m.AddStaticWires(wire.B8X, 5e-3, 600*48)
-	m.LinkTraversal(wire.B8X, 5e-3, 67, 1)
+	m.LinkTraversal(wire.B8X, 67)
 	m.RouterHop(67, 1)
 	m.CompressionEvent()
 	snap := m.Snapshot()
 	// More activity after the snapshot.
-	m.LinkTraversal(wire.B8X, 5e-3, 11, 1)
+	m.LinkTraversal(wire.B8X, 11)
 	m.RouterHop(11, 1)
 	m.CompressionEvent()
 	m.CompressionEvent()
@@ -178,9 +205,10 @@ func TestSnapshotWindows(t *testing.T) {
 	if window.DynJ >= full.DynJ {
 		t.Fatal("windowed dynamic energy should exclude pre-snapshot activity")
 	}
-	want := 11 * 8 * Alpha * wire.DynamicEnergyPerTransition(wire.B8X, 5e-3)
-	if math.Abs(float64(window.DynJ)-want)/want > 1e-9 {
-		t.Fatalf("window dyn %g, want %g", window.DynJ, want)
+	// The window prices the integer count delta, so it is exact.
+	want := Joules(float64(11*8) * Alpha * wire.DynamicEnergyPerTransition(wire.B8X, 5e-3))
+	if window.DynJ != want {
+		t.Fatalf("window dyn %g, want exactly %g", window.DynJ, want)
 	}
 	// Static integrates over the window length regardless of snapshot.
 	if window.StaticJ != full.StaticJ {
@@ -191,6 +219,40 @@ func TestSnapshotWindows(t *testing.T) {
 	}
 	if got := m.ComprEvents() - snap.ComprEvents; got != 2 {
 		t.Fatalf("window compression events %d, want 2", got)
+	}
+}
+
+// TestWarmupWindowPricesCountDeltas pins the warm-up window exactly: the
+// link and interconnect energy of the window after a snapshot equal, bit
+// for bit, those of a meter that counted only the window's activity.
+func TestWarmupWindowPricesCountDeltas(t *testing.T) {
+	warm, fresh := hetMeter(), hetMeter()
+	for i := 0; i < 1000; i++ { // warm-up traffic
+		warm.RouterHop(67, 2)
+		warm.LinkTraversal(wire.B8X, 67)
+		warm.RouterHop(5, 1)
+		warm.LinkTraversal(wire.VL5B, 5)
+	}
+	snap := warm.Snapshot()
+	for _, mt := range []*Meter{warm, fresh} {
+		for i := 0; i < 37; i++ {
+			mt.RouterHop(11, 1)
+			mt.LinkTraversal(wire.B8X, 11)
+			mt.RouterHop(4, 1)
+			mt.LinkTraversal(wire.VL5B, 4)
+		}
+		mt.RouterHop(7, 1) // a same-router delivery: no link
+	}
+	const cycles = 123_457
+	if got, want := warm.LinkSince(snap, cycles), fresh.Link(cycles); got != want {
+		t.Fatalf("windowed link %+v, want %+v", got, want)
+	}
+	if got, want := warm.InterconnectSince(snap, cycles), fresh.InterconnectJ(cycles); got != want {
+		t.Fatalf("windowed interconnect %g, want %g", got, want)
+	}
+	wantRouter := Joules(float64(37*(11+4)+7)*RouterDynPerByteJ + float64(37*2+1)*RouterDynPerFlitJ)
+	if got := fresh.RouterDynJ(); got != wantRouter {
+		t.Fatalf("router dyn %g, want exactly %g", got, wantRouter)
 	}
 }
 

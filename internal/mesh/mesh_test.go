@@ -5,6 +5,8 @@ import (
 	"testing"
 	"testing/quick"
 
+	"tilesim/internal/energy"
+	"tilesim/internal/fault"
 	"tilesim/internal/noc"
 	"tilesim/internal/sim"
 	"tilesim/internal/wire"
@@ -248,61 +250,103 @@ func TestSummaryCounts(t *testing.T) {
 	}
 }
 
+// TestStaticWires checks that New registers every plane's standing
+// wires with the meter: the 4x4 VL+B layout's 48 directed links leak
+// exactly what the two planes' wire counts price to, B plane first.
 func TestStaticWires(t *testing.T) {
 	k := sim.NewKernel()
 	cfg, _ := Heterogeneous(5)
-	n := New(k, cfg, nil)
+	meter := energy.NewMeter(16)
+	n := New(k, cfg, meter)
 	// 4x4 mesh: 2 * (3*4 + 3*4) = 48 directed links.
 	if n.Links() != 48 {
 		t.Fatalf("links = %d, want 48", n.Links())
 	}
-	sw := n.StaticWires()
-	if len(sw) != 2 {
-		t.Fatalf("planes = %d, want 2", len(sw))
-	}
-	var vl, b StaticWireStats
-	for _, s := range sw {
-		if s.Kind == wire.VL5B {
-			vl = s
-		} else {
-			b = s
-		}
-	}
-	if vl.Wires != 5*8*48 {
-		t.Errorf("VL wires %d, want %d", vl.Wires, 5*8*48)
-	}
-	if b.Wires != 34*8*48 {
-		t.Errorf("B wires %d, want %d", b.Wires, 34*8*48)
+	watts := wire.StaticPowerWatts(wire.B8X, 5e-3, 34*8*48)*energy.LinkLeakageDuty +
+		wire.StaticPowerWatts(wire.VL5B, 5e-3, 5*8*48)*energy.LinkLeakageDuty
+	const cycles = 4_000_000
+	want := energy.Joules(watts * float64(energy.Seconds(cycles)))
+	if got := meter.Link(cycles).StaticJ; got != want {
+		t.Fatalf("standing link leakage %g J, want %g J", got, want)
 	}
 }
 
-type countingObserver struct {
-	links, routers int
-	bytes          int
-}
-
-func (o *countingObserver) LinkTraversal(k wire.Kind, l float64, b int, f noc.FlitCount) {
-	o.links++
-	o.bytes += b
-}
-func (o *countingObserver) RouterHop(b int, f noc.FlitCount) { o.routers++ }
-
-func TestObserverSeesEveryHop(t *testing.T) {
+// meterNet builds a network on a fresh meter with sink handlers.
+func meterNet(t *testing.T, cfg Config) (*sim.Kernel, *Network, *energy.Meter) {
+	t.Helper()
 	k := sim.NewKernel()
-	obs := &countingObserver{}
-	n := New(k, DefaultBaseline(), obs)
-	for i := 0; i < 16; i++ {
+	meter := energy.NewMeter(16)
+	n := New(k, cfg, meter)
+	for i := 0; i < n.Topology().Tiles(); i++ {
 		n.SetHandler(i, func(*sim.Kernel, *noc.Message) {})
 	}
-	// 0 -> 15: 6 hops.
-	n.Send(&noc.Message{Type: noc.GetS, Src: 0, Dst: 15, SizeBytes: 11})
-	k.Run(nil)
-	if obs.links != 6 || obs.routers != 6 {
-		t.Fatalf("observer saw %d links, %d routers; want 6, 6", obs.links, obs.routers)
-	}
-	if obs.bytes != 6*11 {
-		t.Fatalf("observer saw %d bytes, want 66", obs.bytes)
-	}
+	return k, n, meter
+}
+
+// TestMeterCountsEveryHop pins the meter's counts against hand-computed
+// totals: every router a message crosses charges its bytes and flits,
+// every link its bytes under the plane's wire kind.
+func TestMeterCountsEveryHop(t *testing.T) {
+	t.Run("multi-hop", func(t *testing.T) {
+		cfg, _ := Heterogeneous(5) // 34-byte B8X plane, 5-byte VL5B plane
+		k, n, meter := meterNet(t, cfg)
+		// 0 -> 15: 6 hops, 11 bytes in 1 flit on B.
+		n.Send(&noc.Message{Type: noc.GetS, Src: 0, Dst: 15, SizeBytes: 11})
+		// 0 -> 3: 3 hops, 67 bytes in 2 flits on B.
+		n.Send(&noc.Message{Type: noc.Data, Src: 0, Dst: 3, DataBytes: 64, SizeBytes: 67})
+		// 5 -> 6: 1 hop, 4 bytes in 1 flit on VL.
+		n.Send(&noc.Message{Type: noc.GetS, Src: 5, Dst: 6, SizeBytes: 4, VL: true, Compressed: true})
+		k.Run(nil)
+		var want energy.DynSnapshot
+		want.LinkBytes[wire.B8X] = 6*11 + 3*67
+		want.LinkBytes[wire.VL5B] = 1 * 4
+		want.RouterBytes = 6*11 + 3*67 + 1*4
+		want.RouterFlits = 6*1 + 3*2 + 1*1
+		if got := meter.Snapshot(); got != want {
+			t.Fatalf("meter counts %+v, want %+v", got, want)
+		}
+	})
+	t.Run("same-router", func(t *testing.T) {
+		cfg := DefaultBaseline()
+		cfg.Topo = NewCMesh(2, 2, 4) // tiles 0..3 share router 0
+		k, n, meter := meterNet(t, cfg)
+		n.Send(&noc.Message{Type: noc.Data, Src: 1, Dst: 2, DataBytes: 64, SizeBytes: 67})
+		k.Run(nil)
+		// One crossbar traversal: router only, no link.
+		want := energy.DynSnapshot{RouterBytes: 67, RouterFlits: 1}
+		if got := meter.Snapshot(); got != want {
+			t.Fatalf("meter counts %+v, want %+v", got, want)
+		}
+	})
+	t.Run("crc-retry", func(t *testing.T) {
+		cfg, _ := Heterogeneous(5)
+		k, n, meter := meterNet(t, cfg)
+		// ~73% of 67-byte traversals fail at this BER.
+		in, err := fault.NewInjector(fault.Config{BER: 2.45e-3, RetryLimit: 64}, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n.SetInjector(in)
+		// 67 bytes in 2 flits on B over 2 + 1 + 3 = 6 hops.
+		for _, sd := range [][2]int{{0, 2}, {5, 6}, {15, 12}} {
+			n.Send(&noc.Message{Type: noc.Data, Src: sd[0], Dst: sd[1], DataBytes: 64, SizeBytes: 67})
+		}
+		k.Run(nil)
+		crc := n.Summary().CRCErrors
+		if crc == 0 || n.FaultError() != nil {
+			t.Fatalf("want corrupted traversals and a delivery; crc errors %d, fault %v", crc, n.FaultError())
+		}
+		// Each corrupted traversal was charged before its CRC verdict,
+		// then charged again by its retransmission.
+		traversals := 6 + crc
+		var want energy.DynSnapshot
+		want.LinkBytes[wire.B8X] = traversals * 67
+		want.RouterBytes = traversals * 67
+		want.RouterFlits = traversals * 2
+		if got := meter.Snapshot(); got != want {
+			t.Fatalf("meter counts %+v, want %+v (%d crc errors)", got, want, crc)
+		}
+	})
 }
 
 // Property: end-to-end latency on an idle network equals

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"tilesim/internal/energy"
 	"tilesim/internal/fault"
 	"tilesim/internal/noc"
 	"tilesim/internal/obs"
@@ -148,16 +149,6 @@ func LayoutVLBPW(vlBytes int) (Config, error) {
 	}, nil
 }
 
-// Observer receives physical activity for energy accounting. Implemented
-// by energy.Meter; a nil observer disables accounting.
-type Observer interface {
-	// LinkTraversal is called once per message per link: the message's
-	// payload bits cross lengthM of kind wires in flits flits.
-	LinkTraversal(kind wire.Kind, lengthM float64, msgBytes int, flits noc.FlitCount)
-	// RouterHop is called once per message per router traversed.
-	RouterHop(msgBytes int, flits noc.FlitCount)
-}
-
 // channel is one wire plane of one directed link.
 type channel struct {
 	cfg      ChannelConfig
@@ -177,7 +168,7 @@ type Network struct {
 	// nodes caches topo.Nodes() for the hot linkIndex arithmetic.
 	nodes    int
 	cfg      Config
-	obs      Observer
+	meter    *energy.Meter // activity counts for energy; nil = none
 	handlers []Handler
 
 	// channels holds the directed links in a dense slice indexed by
@@ -191,7 +182,6 @@ type Network struct {
 	inFlight int
 
 	// Per-class latency statistics (message inject -> tail delivery).
-	latency [noc.NumClasses]stats.Mean
 	latHist [noc.NumClasses]*stats.Histogram
 	byPlane [numPlanes]stats.Counter
 	msgs    [noc.NumClasses]stats.Counter
@@ -242,8 +232,10 @@ var (
 	_ = [1]struct{}{}[int(numPlanes)-fault.NumPlanes]
 )
 
-// New builds a network on kernel k. obs may be nil.
-func New(k *sim.Kernel, cfg Config, obs Observer) *Network {
+// New builds a network on kernel k and registers its standing link
+// wires with meter, which counts every hop's activity. meter may be nil
+// (no energy accounting).
+func New(k *sim.Kernel, cfg Config, meter *energy.Meter) *Network {
 	if cfg.Channels[PlaneB].WidthBytes <= 0 && cfg.Channels[PlanePW].WidthBytes <= 0 {
 		panic("mesh: a bulk channel (PlaneB or PlanePW) is mandatory")
 	}
@@ -260,7 +252,7 @@ func New(k *sim.Kernel, cfg Config, obs Observer) *Network {
 		topo:     topo,
 		nodes:    nodes,
 		cfg:      cfg,
-		obs:      obs,
+		meter:    meter,
 		handlers: make([]Handler, topo.Tiles()),
 		channels: make([]*[numPlanes]*channel, nodes*nodes),
 		routes:   make([][]int, nodes*nodes),
@@ -287,6 +279,13 @@ func New(k *sim.Kernel, cfg Config, obs Observer) *Network {
 		}
 		n.channels[n.linkIndex(l.From, l.To)] = &planes
 		n.nLinks++
+	}
+	if meter != nil {
+		for p := Plane(0); p < numPlanes; p++ {
+			if ch := cfg.Channels[p]; ch.WidthBytes > 0 {
+				meter.AddStaticWires(ch.Kind, cfg.LinkLengthM, ch.WidthBytes*8*n.nLinks)
+			}
+		}
 	}
 	return n
 }
@@ -393,8 +392,8 @@ func (n *Network) Send(m *noc.Message) {
 		// contention. The empty route makes the latency breakdown exact
 		// (hops = 0, Wire = 0).
 		t := n.newTransit(m, localRoute, srcNode, injected, flits, plane, traceID)
-		if n.obs != nil {
-			n.obs.RouterHop(m.SizeBytes, flits)
+		if n.meter != nil {
+			n.meter.RouterHop(m.SizeBytes, flits)
 		}
 		n.k.ScheduleAt(injected+sim.Time(n.cfg.RouterLatency)+sim.Time(flits-1), t.deliverFn)
 		return
@@ -556,14 +555,16 @@ func (n *Network) hop(t *transit) {
 		}
 	}
 	wait := start - ready
-	n.hopWait.Observe(float64(wait))
+	n.hopWait.Observe(uint64(wait))
 	ch.nextFree = start + sim.Time(t.flits)
 	ch.flits.Add(uint64(t.flits))
 	ch.busy.Add(uint64(t.flits))
 	n.planeFlits[t.plane].Add(uint64(t.flits))
-	if n.obs != nil {
-		n.obs.RouterHop(t.m.SizeBytes, t.flits)
-		n.obs.LinkTraversal(ch.cfg.Kind, n.cfg.LinkLengthM, t.m.SizeBytes, t.flits)
+	// Charged before the CRC verdict: a corrupted traversal still
+	// toggled the wires and the router.
+	if n.meter != nil {
+		n.meter.RouterHop(t.m.SizeBytes, t.flits)
+		n.meter.LinkTraversal(ch.cfg.Kind, t.m.SizeBytes)
 	}
 	if n.tracer != nil && t.traceID != 0 {
 		n.traceLinkOccupancy(t.m, t.plane, t.at, next, start, t.flits)
@@ -657,9 +658,7 @@ func (n *Network) deliver(t *transit) {
 	m.CheckAlive(t.mGen)
 	n.inFlight--
 	class := noc.ClassOf(m.Type)
-	lat := float64(n.k.Now() - t.injected)
-	n.latency[class].Observe(lat)
-	n.latHist[class].Observe(lat)
+	n.latHist[class].Observe(uint64(n.k.Now() - t.injected))
 	n.msgs[class].Inc()
 	n.bytes[class].Add(uint64(m.SizeBytes))
 	n.recordBreakdown(t, class)
@@ -699,7 +698,7 @@ func (n *Network) Summary() Summary {
 	for c := 0; c < int(noc.NumClasses); c++ {
 		s.Messages[c] = n.msgs[c].Value()
 		s.Bytes[c] = n.bytes[c].Value()
-		s.MeanLatency[c] = n.latency[c].Value()
+		s.MeanLatency[c] = n.latHist[c].Value()
 	}
 	for p := 0; p < int(numPlanes); p++ {
 		s.PlaneMessages[p] = n.byPlane[p].Value()
@@ -755,33 +754,6 @@ func (s Summary) Sub(prev Summary) Summary {
 // end-to-end latency for a message class, at 2-cycle resolution.
 func (n *Network) LatencyPercentile(c noc.Class, p float64) float64 {
 	return n.latHist[c].Percentile(p)
-}
-
-// StaticWireStats describes the standing wire resources for leakage
-// accounting: per plane, the number of wires and their kind across all
-// directed links.
-type StaticWireStats struct {
-	Kind   wire.Kind
-	Wires  int // total across all links
-	Length float64
-}
-
-// StaticWires returns the standing wire inventory per plane.
-func (n *Network) StaticWires() []StaticWireStats {
-	nLinks := n.nLinks
-	var out []StaticWireStats
-	for p := Plane(0); p < numPlanes; p++ {
-		cfg := n.cfg.Channels[p]
-		if cfg.WidthBytes == 0 {
-			continue
-		}
-		out = append(out, StaticWireStats{
-			Kind:   cfg.Kind,
-			Wires:  cfg.WidthBytes * 8 * nLinks,
-			Length: n.cfg.LinkLengthM,
-		})
-	}
-	return out
 }
 
 // Links returns the number of directed links in the mesh.

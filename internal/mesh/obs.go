@@ -153,7 +153,7 @@ func (n *Network) RegisterMetrics(r *obs.Registry) {
 		slug := classSlug(c)
 		r.Counter("net.msgs."+slug, n.msgs[c].Value)
 		r.Counter("net.bytes."+slug, n.bytes[c].Value)
-		r.Mean("net.lat."+slug, &n.latency[c])
+		r.Mean("net.lat."+slug, &n.latHist[c].Mean)
 		r.Histogram("net.lat."+slug+".hist", n.latHist[c])
 		bd := &n.breakdown[c]
 		r.Counter("net.breakdown."+slug+".total_cycles", func() uint64 { return bd.Total })

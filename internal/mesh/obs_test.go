@@ -63,12 +63,12 @@ func TestBreakdownSumsExactly(t *testing.T) {
 
 	// The breakdown totals must agree with the latency means: sum of
 	// observed latencies == sum of breakdown totals.
-	var meanSum float64
+	var meanSum uint64
 	for c := noc.Class(0); c < noc.NumClasses; c++ {
-		meanSum += n.latency[c].Sum()
+		meanSum += n.latHist[c].Sum()
 	}
-	if uint64(meanSum+0.5) != totalLat {
-		t.Fatalf("breakdown total %d cycles, latency-mean sum %v", totalLat, meanSum)
+	if meanSum != totalLat {
+		t.Fatalf("breakdown total %d cycles, latency-mean sum %d", totalLat, meanSum)
 	}
 
 	// The congested burst must exercise the queue component, otherwise

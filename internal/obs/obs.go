@@ -170,15 +170,21 @@ func (r *Registry) Gauge(name string, fn func() float64) {
 	})
 }
 
-// Mean registers a stats.Mean distribution.
-func (r *Registry) Mean(name string, m *stats.Mean) {
+// Mean registers a stats.Mean distribution: the merge, at read time, of
+// every given accumulator (one for a single stream, the per-tile
+// accumulators for a chip-wide one).
+func (r *Registry) Mean(name string, ms ...*stats.Mean) {
 	r.register(name, func() Metric {
+		var t stats.Mean
+		for _, m := range ms {
+			t.Merge(m)
+		}
 		return Metric{
 			Type:  "mean",
-			Count: m.N(),
-			Mean:  m.Value(),
-			Min:   m.Min(),
-			Max:   m.Max(),
+			Count: t.N(),
+			Mean:  t.Value(),
+			Min:   float64(t.Min()),
+			Max:   float64(t.Max()),
 		}
 	})
 }
@@ -190,9 +196,9 @@ func (r *Registry) Histogram(name string, h *stats.Histogram) {
 		return Metric{
 			Type:  "histogram",
 			Count: h.N(),
-			Mean:  h.Mean(),
-			Min:   h.Min(),
-			Max:   h.Max(),
+			Mean:  h.Value(),
+			Min:   float64(h.Min()),
+			Max:   float64(h.Max()),
 			P50:   h.Percentile(0.50),
 			P99:   h.Percentile(0.99),
 		}

@@ -10,6 +10,26 @@ import (
 	"tilesim/internal/stats"
 )
 
+// TestRegistryMeanMerges pins the chip-wide form of Mean: a metric
+// over several accumulators reports their merge at read time, and an
+// empty accumulator contributes nothing (not a zero minimum).
+func TestRegistryMeanMerges(t *testing.T) {
+	var a, b, empty stats.Mean
+	a.Observe(10)
+	a.Observe(40)
+	b.Observe(4)
+	r := NewRegistry()
+	r.Mean("chip", &a, &empty, &b)
+	got := r.Snapshot()["chip"]
+	if got.Type != "mean" || got.Count != 3 || got.Mean != 18 || got.Min != 4 || got.Max != 40 {
+		t.Fatalf("merged mean metric = %+v", got)
+	}
+	b.Observe(100)
+	if got := r.Snapshot()["chip"]; got.Count != 4 || got.Max != 100 {
+		t.Fatalf("merged mean not read through: %+v", got)
+	}
+}
+
 func TestRegistrySnapshot(t *testing.T) {
 	r := NewRegistry()
 

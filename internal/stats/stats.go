@@ -1,5 +1,5 @@
 // Package stats provides the small statistics toolkit shared by every
-// tilesim component: named counters, running means, histograms with
+// tilesim component: named counters, integer-sample means, histograms with
 // percentile queries, and plain-text table rendering for the experiment
 // harnesses.
 package stats
@@ -28,67 +28,56 @@ func (c *Counter) Value() uint64 { return c.n }
 // Reset zeroes the counter.
 func (c *Counter) Reset() { c.n = 0 }
 
-// Mean accumulates a running mean/variance (Welford's algorithm) plus
-// min/max, without storing samples.
+// Mean accumulates the count, exact sum, min and max of integer
+// samples (cycle counts) without storing them. The mean is computed on
+// read, so the per-sample cost is integer adds and compares only.
 type Mean struct {
-	n        uint64
-	mean, m2 float64
-	min, max float64
+	n, sum   uint64
+	min, max uint64
 }
 
 // Observe adds one sample.
-func (m *Mean) Observe(x float64) {
-	if m.n == 0 {
-		m.min, m.max = x, x
-	} else {
-		if x < m.min {
-			m.min = x
-		}
-		if x > m.max {
-			m.max = x
-		}
+func (m *Mean) Observe(x uint64) {
+	if m.n == 0 || x < m.min {
+		m.min = x
+	}
+	if x > m.max {
+		m.max = x
 	}
 	m.n++
-	delta := x - m.mean
-	m.mean += delta / float64(m.n)
-	m.m2 += delta * (x - m.mean)
+	m.sum += x
+}
+
+// Merge folds the samples of o into m, as if each had been observed
+// on m.
+func (m *Mean) Merge(o *Mean) {
+	if o.n == 0 {
+		return
+	}
+	if m.n == 0 || o.min < m.min {
+		m.min = o.min
+	}
+	if o.max > m.max {
+		m.max = o.max
+	}
+	m.n += o.n
+	m.sum += o.sum
 }
 
 // N returns the sample count.
 func (m *Mean) N() uint64 { return m.n }
 
-// Value returns the running mean (0 with no samples).
-func (m *Mean) Value() float64 { return m.mean }
+// Sum returns the exact total of all samples.
+func (m *Mean) Sum() uint64 { return m.sum }
 
-// Variance returns the population variance (0 with fewer than 2 samples).
-func (m *Mean) Variance() float64 {
-	if m.n < 2 {
-		return 0
-	}
-	return m.m2 / float64(m.n)
-}
-
-// StdDev returns the population standard deviation.
-func (m *Mean) StdDev() float64 { return math.Sqrt(m.Variance()) }
+// Value returns sum/n (0 with no samples).
+func (m *Mean) Value() float64 { return Ratio(float64(m.sum), float64(m.n)) }
 
 // Min returns the smallest sample (0 with no samples).
-func (m *Mean) Min() float64 {
-	if m.n == 0 {
-		return 0
-	}
-	return m.min
-}
+func (m *Mean) Min() uint64 { return m.min }
 
 // Max returns the largest sample (0 with no samples).
-func (m *Mean) Max() float64 {
-	if m.n == 0 {
-		return 0
-	}
-	return m.max
-}
-
-// Sum returns mean*n, the total of all samples.
-func (m *Mean) Sum() float64 { return m.mean * float64(m.n) }
+func (m *Mean) Max() uint64 { return m.max }
 
 // Ratio safely divides a by b, returning 0 when b == 0.
 func Ratio(a, b float64) float64 {
@@ -126,49 +115,35 @@ func ArithMean(xs []float64) float64 {
 	return sum / float64(len(xs))
 }
 
-// Histogram is a fixed-width-bucket histogram over [0, bucketWidth*len).
-// Samples beyond the last bucket land in an overflow bucket. It supports
-// approximate percentile queries at bucket resolution.
+// Histogram is a fixed-width-bucket histogram of integer samples over
+// [0, bucketWidth*len). Samples beyond the last bucket land in an
+// overflow bucket. It supports approximate percentile queries at bucket
+// resolution; the embedded Mean keeps the exact count, sum, min and max.
 type Histogram struct {
-	bucketWidth float64
+	Mean
+	bucketWidth uint64
 	buckets     []uint64
 	overflow    uint64
-	mean        Mean
 }
 
 // NewHistogram creates a histogram with n buckets of the given width.
-func NewHistogram(n int, bucketWidth float64) *Histogram {
-	if n <= 0 || bucketWidth <= 0 {
+func NewHistogram(n int, bucketWidth uint64) *Histogram {
+	if n <= 0 || bucketWidth == 0 {
 		panic("stats: histogram needs n > 0 and bucketWidth > 0")
 	}
 	return &Histogram{bucketWidth: bucketWidth, buckets: make([]uint64, n)}
 }
 
-// Observe adds one sample (negative samples clamp to bucket 0).
-func (h *Histogram) Observe(x float64) {
-	h.mean.Observe(x)
-	if x < 0 {
-		x = 0
-	}
-	i := int(x / h.bucketWidth)
-	if i >= len(h.buckets) {
+// Observe adds one sample.
+func (h *Histogram) Observe(x uint64) {
+	h.Mean.Observe(x)
+	i := x / h.bucketWidth
+	if i >= uint64(len(h.buckets)) {
 		h.overflow++
 		return
 	}
 	h.buckets[i]++
 }
-
-// N returns the total number of samples.
-func (h *Histogram) N() uint64 { return h.mean.N() }
-
-// Mean returns the exact running mean of all samples.
-func (h *Histogram) Mean() float64 { return h.mean.Value() }
-
-// Min returns the exact minimum sample (0 with no samples).
-func (h *Histogram) Min() float64 { return h.mean.Min() }
-
-// Max returns the exact maximum sample.
-func (h *Histogram) Max() float64 { return h.mean.Max() }
 
 // Percentile returns an upper bound for the p-th percentile (p in [0,1])
 // at bucket resolution, clamped into the exact observed [min, max] range
@@ -178,16 +153,16 @@ func (h *Histogram) Max() float64 { return h.mean.Max() }
 // histogram used to report bucketWidth for every percentile). Overflow
 // samples report the exact observed max.
 func (h *Histogram) Percentile(p float64) float64 {
-	if h.mean.N() == 0 {
+	if h.n == 0 {
 		return 0
 	}
 	if p <= 0 {
-		return h.mean.Min()
+		return float64(h.min)
 	}
 	if p > 1 {
 		p = 1
 	}
-	target := uint64(math.Ceil(p * float64(h.mean.N())))
+	target := uint64(math.Ceil(p * float64(h.n)))
 	if target == 0 {
 		target = 1
 	}
@@ -195,17 +170,11 @@ func (h *Histogram) Percentile(p float64) float64 {
 	for i, c := range h.buckets {
 		cum += c
 		if cum >= target {
-			bound := float64(i+1) * h.bucketWidth
-			if bound > h.mean.Max() {
-				bound = h.mean.Max()
-			}
-			if bound < h.mean.Min() {
-				bound = h.mean.Min()
-			}
-			return bound
+			bound := min(max(uint64(i+1)*h.bucketWidth, h.min), h.max)
+			return float64(bound)
 		}
 	}
-	return h.mean.Max()
+	return float64(h.max)
 }
 
 // Table renders rows of labeled numeric series as an aligned plain-text

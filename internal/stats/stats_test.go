@@ -25,52 +25,43 @@ func TestCounter(t *testing.T) {
 
 func TestMeanBasics(t *testing.T) {
 	var m Mean
-	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
+	for _, x := range []uint64{2, 4, 4, 4, 5, 5, 7, 9} {
 		m.Observe(x)
 	}
 	if m.N() != 8 {
 		t.Fatalf("n = %d", m.N())
 	}
-	if math.Abs(m.Value()-5) > 1e-12 {
+	if m.Value() != 5 {
 		t.Fatalf("mean = %v, want 5", m.Value())
-	}
-	if math.Abs(m.StdDev()-2) > 1e-12 {
-		t.Fatalf("stddev = %v, want 2", m.StdDev())
 	}
 	if m.Min() != 2 || m.Max() != 9 {
 		t.Fatalf("min,max = %v,%v", m.Min(), m.Max())
 	}
-	if math.Abs(m.Sum()-40) > 1e-9 {
+	if m.Sum() != 40 {
 		t.Fatalf("sum = %v, want 40", m.Sum())
 	}
 }
 
 func TestMeanEmpty(t *testing.T) {
 	var m Mean
-	if m.Value() != 0 || m.Min() != 0 || m.Max() != 0 || m.Variance() != 0 {
+	if m.Value() != 0 || m.Min() != 0 || m.Max() != 0 || m.Sum() != 0 {
 		t.Fatal("empty Mean should report zeros")
 	}
 }
 
-// Property: running mean matches direct computation.
+// Property: the mean is exactly the direct sum over the count.
 func TestMeanMatchesDirectProperty(t *testing.T) {
-	f := func(xs []float64) bool {
+	f := func(xs []uint32) bool {
 		var m Mean
-		sum := 0.0
-		ok := true
+		var sum uint64
 		for _, x := range xs {
-			if math.IsNaN(x) || math.IsInf(x, 0) || math.Abs(x) > 1e12 {
-				return true // skip degenerate inputs
-			}
-			m.Observe(x)
-			sum += x
+			m.Observe(uint64(x))
+			sum += uint64(x)
 		}
-		if len(xs) > 0 {
-			want := sum / float64(len(xs))
-			scale := math.Max(1, math.Abs(want))
-			ok = math.Abs(m.Value()-want)/scale < 1e-6
+		if m.Sum() != sum || m.N() != uint64(len(xs)) {
+			return false
 		}
-		return ok
+		return len(xs) == 0 || m.Value() == float64(sum)/float64(len(xs))
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -78,10 +69,10 @@ func TestMeanMatchesDirectProperty(t *testing.T) {
 }
 
 // TestMeanSingleSample pins the min/max behavior of a one-sample
-// stream: both must be the sample itself, even when it is negative or
-// zero (a sign-based initialization would get these wrong).
+// stream: both must be the sample itself, even when it is zero (a
+// zero-initialized min would get a nonzero sample wrong).
 func TestMeanSingleSample(t *testing.T) {
-	for _, x := range []float64{7.5, -3.25, 0} {
+	for _, x := range []uint64{7, 0, math.MaxUint32} {
 		var m Mean
 		m.Observe(x)
 		if m.N() != 1 {
@@ -90,32 +81,48 @@ func TestMeanSingleSample(t *testing.T) {
 		if m.Min() != x || m.Max() != x {
 			t.Errorf("single sample %v: min,max = %v,%v, want both %v", x, m.Min(), m.Max(), x)
 		}
-		if m.Value() != x {
+		if m.Value() != float64(x) {
 			t.Errorf("single sample %v: mean = %v", x, m.Value())
-		}
-		if m.Variance() != 0 {
-			t.Errorf("single sample %v: variance = %v, want 0", x, m.Variance())
 		}
 	}
 }
 
 // Property: min and max always bracket the mean and equal some sample.
 func TestMeanMinMaxProperty(t *testing.T) {
-	f := func(xs []float64) bool {
+	f := func(xs []uint32) bool {
 		var m Mean
-		lo, hi := math.Inf(1), math.Inf(-1)
+		lo, hi := uint64(math.MaxUint64), uint64(0)
 		for _, x := range xs {
-			if math.IsNaN(x) || math.IsInf(x, 0) {
-				return true
-			}
-			m.Observe(x)
-			lo = math.Min(lo, x)
-			hi = math.Max(hi, x)
+			m.Observe(uint64(x))
+			lo = min(lo, uint64(x))
+			hi = max(hi, uint64(x))
 		}
 		if len(xs) == 0 {
 			return m.Min() == 0 && m.Max() == 0
 		}
 		return m.Min() == lo && m.Max() == hi
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Property: merging per-shard accumulators equals observing every
+// sample on one accumulator, whatever the split (empty shards included).
+func TestMeanMergeProperty(t *testing.T) {
+	f := func(a, b []uint32) bool {
+		var whole, left, right, merged Mean
+		for _, x := range a {
+			whole.Observe(uint64(x))
+			left.Observe(uint64(x))
+		}
+		for _, x := range b {
+			whole.Observe(uint64(x))
+			right.Observe(uint64(x))
+		}
+		merged.Merge(&left)
+		merged.Merge(&right)
+		return merged == whole
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -158,7 +165,7 @@ func TestArithMean(t *testing.T) {
 func TestHistogramPercentiles(t *testing.T) {
 	h := NewHistogram(100, 1)
 	for i := 1; i <= 100; i++ {
-		h.Observe(float64(i) - 0.5) // one sample per bucket
+		h.Observe(uint64(i - 1)) // one sample per bucket
 	}
 	if h.N() != 100 {
 		t.Fatalf("n = %d", h.N())
@@ -184,14 +191,6 @@ func TestHistogramOverflow(t *testing.T) {
 	// p100 reports the exact max despite bucket overflow.
 	if h.Percentile(1.0) != 1e9 {
 		t.Fatalf("p100 = %v, want 1e9", h.Percentile(1.0))
-	}
-}
-
-func TestHistogramNegativeClamps(t *testing.T) {
-	h := NewHistogram(4, 1)
-	h.Observe(-3)
-	if h.Percentile(1.0) > 1 {
-		t.Fatalf("negative sample should land in bucket 0")
 	}
 }
 
@@ -238,31 +237,21 @@ func TestHistogramPercentileEdges(t *testing.T) {
 	})
 	t.Run("p0 and p100 with spread", func(t *testing.T) {
 		h := NewHistogram(100, 1)
-		h.Observe(2.5)
-		h.Observe(41.5)
-		h.Observe(97.25)
-		if got := h.Percentile(0); got != 2.5 {
-			t.Errorf("p0 = %v, want exact min 2.5", got)
+		h.Observe(2)
+		h.Observe(41)
+		h.Observe(97)
+		if got := h.Percentile(0); got != 2 {
+			t.Errorf("p0 = %v, want exact min 2", got)
 		}
-		if got := h.Percentile(1); got != 97.25 {
-			t.Errorf("p100 = %v, want exact max 97.25", got)
+		if got := h.Percentile(1); got != 97 {
+			t.Errorf("p100 = %v, want exact max 97", got)
 		}
 		// Out-of-range p clamps rather than panicking.
-		if got := h.Percentile(-0.5); got != 2.5 {
+		if got := h.Percentile(-0.5); got != 2 {
 			t.Errorf("p<0 = %v, want min", got)
 		}
-		if got := h.Percentile(1.5); got != 97.25 {
+		if got := h.Percentile(1.5); got != 97 {
 			t.Errorf("p>1 = %v, want max", got)
-		}
-	})
-	t.Run("negative samples clamp but report exactly", func(t *testing.T) {
-		h := NewHistogram(4, 1)
-		h.Observe(-3)
-		if got := h.Percentile(1); got != -3 {
-			t.Errorf("p100 = %v, want exact max -3", got)
-		}
-		if got := h.Percentile(0); got != -3 {
-			t.Errorf("p0 = %v, want exact min -3", got)
 		}
 	})
 }
