@@ -13,13 +13,17 @@ package tilesim
 
 import (
 	"bytes"
+	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"tilesim/internal/cmp"
 	"tilesim/internal/compress"
 	"tilesim/internal/fault"
+	"tilesim/internal/sweep"
 )
 
 // goldenConfig is the configuration the goldens were captured at:
@@ -99,5 +103,98 @@ func TestTopologiesByteIdentical64(t *testing.T) {
 				t.Errorf("%s: same-seed 64-tile runs differ (%d vs %d bytes)", topo, len(a), len(b))
 			}
 		})
+	}
+}
+
+// updateTopologyDigests rewrites testdata/golden/topology-digests.txt
+// from the current simulator instead of checking against it:
+//
+//	go test -run TestTopologyDigests -update-topology-digests .
+//
+// Only for a deliberate behavior change, together with a SimVersion bump.
+var updateTopologyDigests = flag.Bool("update-topology-digests", false,
+	"rewrite testdata/golden/topology-digests.txt instead of checking it")
+
+// topologyDigestCase is one row of the non-default topology digest table.
+type topologyDigestCase struct {
+	topo, scheme string
+	faults       bool
+}
+
+func (c topologyDigestCase) name() string {
+	ber := "faultfree"
+	if c.faults {
+		ber = "ber1e5"
+	}
+	return fmt.Sprintf("%s64-%s-%s", c.topo, c.scheme, ber)
+}
+
+func (c topologyDigestCase) config() cmp.RunConfig {
+	cfg := goldenConfig(c.faults)
+	cfg.Topology, cfg.Tiles = c.topo, 64
+	cfg.RefsPerCore, cfg.WarmupRefs = 500, 250
+	if c.scheme == "stride" {
+		cfg.Compression = compress.Spec{Kind: "stride", LowOrderBytes: 2}
+	}
+	return cfg
+}
+
+func topologyDigestCases() []topologyDigestCase {
+	var cs []topologyDigestCase
+	for _, topo := range cmp.TopologyNames {
+		for _, scheme := range []string{"dbrc", "stride"} {
+			for _, faults := range []bool{false, true} {
+				cs = append(cs, topologyDigestCase{topo, scheme, faults})
+			}
+		}
+	}
+	return cs
+}
+
+// TestTopologyDigests pins the non-default topologies the 4x4 goldens
+// do not reach: mesh, cmesh, torus and slim at 64 tiles, fault-free and
+// at BER 1e-5, under 4-entry 2B DBRC and 2-byte Stride. Each row of
+// testdata/golden/topology-digests.txt is "<case> <sweep.Digest>".
+func TestTopologyDigests(t *testing.T) {
+	if testing.Short() {
+		t.Skip("sixteen 64-tile simulations")
+	}
+	path := filepath.Join("testdata", "golden", "topology-digests.txt")
+	cases := topologyDigestCases()
+	got := make([]string, len(cases))
+	t.Run("run", func(t *testing.T) {
+		for i, c := range cases {
+			i, c := i, c
+			t.Run(c.name(), func(t *testing.T) {
+				t.Parallel()
+				r, err := cmp.Run(c.config())
+				if err != nil {
+					t.Fatal(err)
+				}
+				got[i] = c.name() + " " + sweep.Digest(r)
+			})
+		}
+	})
+	if t.Failed() {
+		return
+	}
+	if *updateTopologyDigests {
+		if err := os.WriteFile(path, []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("digest table missing (regenerate with -update-topology-digests): %v", err)
+	}
+	want := strings.Split(strings.TrimSpace(string(raw)), "\n")
+	if len(want) != len(got) {
+		t.Fatalf("digest table has %d rows, want %d", len(want), len(got))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Errorf("row %d diverged:\n got %s\nwant %s", i, got[i], want[i])
+		}
 	}
 }
