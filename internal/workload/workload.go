@@ -160,14 +160,17 @@ type App struct {
 }
 
 type coreState struct {
-	rng      *rand.Rand
-	issued   int
-	pending  []Op // queued ops to emit before generating more
-	privPos  uint64
-	shPos    uint64
-	recent   [8]uint64
-	recentN  int
-	chaseMul uint64 // per-core LCG multiplier for Chase
+	rng    *rand.Rand
+	issued int
+	// pending is the reference queued behind a barrier or compute gap,
+	// emitted by the next call; never more than one is queued.
+	pending    Op
+	hasPending bool
+	privPos    uint64
+	shPos      uint64
+	recent     [8]uint64
+	recentN    int
+	chaseMul   uint64 // per-core LCG multiplier for Chase
 }
 
 // NewApp builds the generator.
@@ -200,10 +203,9 @@ func (a *App) Reset() {
 // Next implements Generator.
 func (a *App) Next(core int) (Op, bool) {
 	c := &a.cores[core]
-	if len(c.pending) > 0 {
-		op := c.pending[0]
-		c.pending = c.pending[1:]
-		return op, true
+	if c.hasPending {
+		c.hasPending = false
+		return c.pending, true
 	}
 	if c.issued >= a.p.RefsPerCore {
 		return Op{}, false
@@ -212,7 +214,7 @@ func (a *App) Next(core int) (Op, bool) {
 
 	// Barrier due?
 	if a.p.BarrierEvery > 0 && c.issued%a.p.BarrierEvery == 0 {
-		c.pending = append(c.pending, a.genRef(core, c))
+		c.pending, c.hasPending = a.genRef(core, c), true
 		return Op{Kind: OpBarrier}, true
 	}
 
@@ -220,7 +222,7 @@ func (a *App) Next(core int) (Op, bool) {
 	if a.p.ComputeMean > 0 {
 		gap := geometric(c.rng, a.p.ComputeMean)
 		if gap > 0 {
-			c.pending = append(c.pending, a.genRef(core, c))
+			c.pending, c.hasPending = a.genRef(core, c), true
 			return Op{Kind: OpCompute, Cycles: gap}, true
 		}
 	}

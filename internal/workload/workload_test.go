@@ -267,3 +267,30 @@ func BenchmarkGenerate(b *testing.B) {
 		}
 	}
 }
+
+// TestNextAllocatesNothing pins the steady state of the generator: a
+// reference queued behind a compute gap or barrier is held by value, so
+// Next allocates nothing per call on a compute-heavy, barrier-carrying
+// stream.
+func TestNextAllocatesNothing(t *testing.T) {
+	a, err := NewNamedApp("Water-nsq", 16, 1<<30, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Params().ComputeMean == 0 {
+		t.Fatal("Water-nsq has no compute gaps; the test needs a queued reference")
+	}
+	// AllocsPerRun floors the per-run average, so each run makes many
+	// calls: an allocation on even a fraction of them shows.
+	const callsPerRun = 256
+	allocs := testing.AllocsPerRun(100, func() {
+		for i := 0; i < callsPerRun; i++ {
+			if _, ok := a.Next(i % 16); !ok {
+				t.Fatal("stream ended")
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("%d Next calls allocate %.0f times, want 0", callsPerRun, allocs)
+	}
+}
