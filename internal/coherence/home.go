@@ -78,6 +78,10 @@ type HomeController struct {
 	dir map[uint64]*dirEntry
 	// freeEntries pools released directory entries.
 	freeEntries *dirEntry
+	// spareQueue is a drained request queue's storage, kept for the
+	// next finishTxn to hand its entry, so a drain allocates no new
+	// queue (see finishTxn).
+	spareQueue []homeReq
 	// busyEntries counts dir entries with busy set, maintained by
 	// setBusy so busyCount is O(1) — it runs on every drain check and
 	// epoch-series sample, where a directory walk dominated the cost.
@@ -506,11 +510,17 @@ func (h *HomeController) recallAckArrived(block uint64, e *dirEntry) {
 }
 
 // finishTxn clears the busy state and drains queued requests in order.
+//
+// The entry gets the spare queue storage while the old queue drains: a
+// drained request may re-queue on this very entry (it appends to the
+// spare, never to the slice being drained), and a nested finishTxn
+// during the drain finds no spare and starts its entry on a nil queue.
+// Once drained, the old storage becomes the spare.
 func (h *HomeController) finishTxn(block uint64, e *dirEntry) {
 	h.setBusy(e, false)
 	e.kind = txnNone
 	queued := e.queue
-	e.queue = nil
+	e.queue, h.spareQueue = h.spareQueue[:0], nil
 	h.release(block, e)
 	for _, r := range queued {
 		switch noc.Type(r.typ) {
@@ -521,6 +531,9 @@ func (h *HomeController) finishTxn(block uint64, e *dirEntry) {
 		default:
 			panic(fmt.Sprintf("coherence: home %d queued %v", h.id, noc.Type(r.typ)))
 		}
+	}
+	if cap(queued) > cap(h.spareQueue) {
+		h.spareQueue = queued[:0]
 	}
 }
 

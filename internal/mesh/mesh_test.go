@@ -31,7 +31,7 @@ func TestRouteXYIsMinimalAndDimensionOrdered(t *testing.T) {
 			if src == dst {
 				continue
 			}
-			route := topo.Route(src, dst)
+			route := topo.AppendRoute(nil, src, dst)
 			if len(route) != topo.Hops(src, dst) {
 				t.Fatalf("%d->%d: route length %d, hops %d", src, dst, len(route), topo.Hops(src, dst))
 			}

@@ -45,13 +45,15 @@ type Topology interface {
 	Nodes() int
 	// NodeOf maps a tile id to the router it attaches to.
 	NodeOf(tile int) int
-	// Route returns the deterministic minimal route from router src to
-	// router dst as the ordered list of intermediate+final router ids
-	// (excluding src). An empty route means src == dst. Repeated calls
-	// return equal routes.
-	Route(src, dst int) []int
+	// AppendRoute appends the deterministic minimal route from router
+	// src to router dst to buf, as the ordered list of
+	// intermediate+final router ids (excluding src), and returns the
+	// extended slice. An empty route means src == dst. Repeated calls
+	// append equal routes; a caller reusing one buffer builds routes
+	// without allocating.
+	AppendRoute(buf []int, src, dst int) []int
 	// Hops returns the minimal hop count between routers, equal to
-	// len(Route(src, dst)).
+	// len(AppendRoute(nil, src, dst)).
 	Hops(src, dst int) int
 	// Neighbors returns the routers directly linked from a router, in
 	// ascending id order.
@@ -119,44 +121,40 @@ func (g grid) IDOf(c Coord) int {
 	return c.Y*g.W + c.X
 }
 
-// routeXY is the shared XY dimension-order walk: resolve X fully, then
-// Y, stepping one grid coordinate at a time. stepX/stepY pick the
-// direction (and handle wrap for the torus); both dimensions' step
-// choices are pure functions of (from, to), so the route is
-// deterministic.
-func (g grid) routeXY(src, dst int, stepX, stepY func(from, to int) int) []int {
+// appendRouteXY is the shared XY dimension-order walk: resolve X
+// fully, then Y, stepping one grid coordinate at a time. wrap selects
+// the torus step (shorter way around) over the mesh step; both
+// dimensions' step choices are pure functions of (from, to), so the
+// route is deterministic.
+func (g grid) appendRouteXY(buf []int, src, dst int, wrap bool) []int {
 	a, b := g.CoordOf(src), g.CoordOf(dst)
-	route := make([]int, 0, 8)
 	for a.X != b.X {
-		a.X = stepX(a.X, b.X)
-		route = append(route, g.IDOf(a))
+		a.X = axisStep(a.X, b.X, g.W, wrap)
+		buf = append(buf, g.IDOf(a))
 	}
 	for a.Y != b.Y {
-		a.Y = stepY(a.Y, b.Y)
-		route = append(route, g.IDOf(a))
+		a.Y = axisStep(a.Y, b.Y, g.H, wrap)
+		buf = append(buf, g.IDOf(a))
 	}
-	return route
+	return buf
 }
 
-// meshStep moves one unit toward to on an unwrapped axis.
-func meshStep(from, to int) int {
-	if from < to {
-		return from + 1
-	}
-	return from - 1
-}
-
-// torusStep moves one unit toward to on a wrapped axis of size n,
-// taking the shorter way around; on a tie (to is exactly n/2 away) it
+// axisStep moves one unit from toward to on an axis of size n. On an
+// unwrapped axis it steps straight toward to. On a wrapped axis it
+// takes the shorter way around; on a tie (to is exactly n/2 away) it
 // deterministically steps in the positive direction.
-func torusStep(n int) func(from, to int) int {
-	return func(from, to int) int {
-		fwd := (to - from + n) % n // steps going +1 with wrap
-		if fwd <= n-fwd {
-			return (from + 1) % n
+func axisStep(from, to, n int, wrap bool) int {
+	if !wrap {
+		if from < to {
+			return from + 1
 		}
-		return (from - 1 + n) % n
+		return from - 1
 	}
+	fwd := (to - from + n) % n // steps going +1 with wrap
+	if fwd <= n-fwd {
+		return (from + 1) % n
+	}
+	return (from - 1 + n) % n
 }
 
 // wrapDist is the minimal wrapped distance between two coordinates on
@@ -208,9 +206,9 @@ func (m Mesh) Hops(src, dst int) int {
 	return abs(a.X-b.X) + abs(a.Y-b.Y)
 }
 
-// Route implements Topology: XY dimension-order routing.
-func (m Mesh) Route(src, dst int) []int {
-	return m.routeXY(src, dst, meshStep, meshStep)
+// AppendRoute implements Topology: XY dimension-order routing.
+func (m Mesh) AppendRoute(buf []int, src, dst int) []int {
+	return m.appendRouteXY(buf, src, dst, false)
 }
 
 // Neighbors implements Topology.
@@ -283,9 +281,10 @@ func (m CMesh) Hops(src, dst int) int {
 	return abs(a.X-b.X) + abs(a.Y-b.Y)
 }
 
-// Route implements Topology: XY dimension-order routing over routers.
-func (m CMesh) Route(src, dst int) []int {
-	return m.routeXY(src, dst, meshStep, meshStep)
+// AppendRoute implements Topology: XY dimension-order routing over
+// routers.
+func (m CMesh) AppendRoute(buf []int, src, dst int) []int {
+	return m.appendRouteXY(buf, src, dst, false)
 }
 
 // Neighbors implements Topology.
@@ -333,10 +332,10 @@ func (t Torus) Hops(src, dst int) int {
 	return wrapDist(a.X, b.X, t.W) + wrapDist(a.Y, b.Y, t.H)
 }
 
-// Route implements Topology: XY dimension-order routing, shorter way
-// around each axis, ties broken toward the positive direction.
-func (t Torus) Route(src, dst int) []int {
-	return t.routeXY(src, dst, torusStep(t.W), torusStep(t.H))
+// AppendRoute implements Topology: XY dimension-order routing, shorter
+// way around each axis, ties broken toward the positive direction.
+func (t Torus) AppendRoute(buf []int, src, dst int) []int {
+	return t.appendRouteXY(buf, src, dst, true)
 }
 
 // Neighbors implements Topology.
@@ -399,20 +398,19 @@ func (s Slim) Hops(src, dst int) int {
 	return h
 }
 
-// Route implements Topology: dimension-order — the single row hop to
-// the destination column first, then the single column hop.
-func (s Slim) Route(src, dst int) []int {
+// AppendRoute implements Topology: dimension-order — the single row hop
+// to the destination column first, then the single column hop.
+func (s Slim) AppendRoute(buf []int, src, dst int) []int {
 	a, b := s.CoordOf(src), s.CoordOf(dst)
-	route := make([]int, 0, 2)
 	if a.X != b.X {
 		a.X = b.X
-		route = append(route, s.IDOf(a))
+		buf = append(buf, s.IDOf(a))
 	}
 	if a.Y != b.Y {
 		a.Y = b.Y
-		route = append(route, s.IDOf(a))
+		buf = append(buf, s.IDOf(a))
 	}
-	return route
+	return buf
 }
 
 // Neighbors implements Topology: the rest of the row and the column.
