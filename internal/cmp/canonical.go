@@ -28,7 +28,11 @@ import "fmt"
 // accumulated per event in float64. Float rounding moves Joule and
 // mean-latency values by at most ~1e-10 relative; every count, min,
 // max and percentile is unchanged.
-const SimVersion = "tilesim-sim-v6"
+// v7: DBRC's per-entry destination mask is a bitset covering every
+// core; the old uint32 mask shifted to zero for destinations >= 32, so
+// no address sent to tile 32 or above ever compressed. Runs with at
+// most 32 tiles, and every non-DBRC run, are unchanged.
+const SimVersion = "tilesim-sim-v7"
 
 // Canonical returns a stable one-line encoding of every
 // simulation-relevant field of the configuration. Two configurations
