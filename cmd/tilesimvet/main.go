@@ -1,137 +1,45 @@
 // Command tilesimvet runs tilesim's simulator-specific static analyses
-// over the module: determinism (no map-order or wall-clock dependence,
-// no global randomness — directly or transitively via the taint call
-// graph), stable sorting (sort.SliceStable or a proven total order),
-// deterministic float accumulation, unit safety (no mixed-unit
-// arithmetic, compound assignment or comparison), panic hygiene
-// (prefixed constant messages), enum-switch exhaustiveness, obs-hook
-// discipline (tracer calls in loops are nil-guarded and never box
-// through interface parameters), canonical-encoding field coverage,
-// and constant-rooted metric names.
+// over the module: map-order determinism (float accumulation over maps
+// included), stable sorting, wall-clock and global-rand taint (direct
+// and transitive through the call graph), unit safety, panic hygiene,
+// enum-switch exhaustiveness, hot-path allocation, goroutine shared
+// state and pooled-object lifetimes.
 //
 // Usage:
 //
 //	go run ./cmd/tilesimvet ./...
-//	go run ./cmd/tilesimvet -json ./internal/mesh
-//	go run ./cmd/tilesimvet -fix ./...
-//	go run ./cmd/tilesimvet -rules poollife ./...
-//	go run ./cmd/tilesimvet -rules -hotalloc,-sharedstate ./...
-//	go run ./cmd/tilesimvet -list
+//	go run ./cmd/tilesimvet ./internal/mesh ./internal/coherence
 //
-// -json emits the diagnostics as a JSON array, each carrying its
-// machine-applicable fix when one exists. -fix applies every suggested
-// fix (atomically, gofmt-clean, idempotently) and then reports only
-// the findings that remain unfixable. -rules takes a comma-separated
-// selection: plain names run only those rules, -prefixed names run
-// everything but those (disabling a rule also disables its waiver
-// audit). -list prints the rule registry, one line per rule, and
-// exits.
+// The arguments are go list package patterns (default ./...). The
+// command takes no flags: every rule always runs, and the same check
+// gates `go test ./...` as internal/analysis's TestRepoIsClean.
 //
-// The exit status is 0 when the analyzed packages are clean (under
-// -fix: when every finding was fixable), 1 when findings remain, and
-// 2 on a driver error (unparsable package, build failure, conflicting
-// fixes, unknown rule name, ...). See DESIGN.md §8 and §12 for the
-// rule catalog and the //tilesim:ordered, //tilesim:unit and
-// //tilesim:totalorder annotations.
+// The exit status is 0 when the analyzed packages are clean, 1 when
+// findings remain (printed one per line as file:line:col: rule:
+// message), and 2 on a driver error (unparsable package, build
+// failure, ...). See DESIGN.md §8 and §12 for the rule catalog and the
+// //tilesim:* annotations.
 package main
 
 import (
-	"encoding/json"
-	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"tilesim/internal/analysis"
 )
 
 func main() {
-	jsonOut := flag.Bool("json", false, "emit diagnostics as a JSON array")
-	fix := flag.Bool("fix", false, "apply suggested fixes, then report only unfixable findings")
-	escapes := flag.Bool("escapes", false, "correlate compiler escape analysis (-gcflags=-m) with //tilesim:noescape and //tilesim:hotpath annotations instead of running the syntactic rules")
-	rules := flag.String("rules", "", "comma-separated rule selection: names to run only those, -prefixed names to disable them")
-	list := flag.Bool("list", false, "print the rule registry, one line per rule, and exit")
-	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: tilesimvet [-json] [-fix] [-escapes] [-rules <selection>] [-list] <packages>\n")
-		flag.PrintDefaults()
-	}
-	flag.Parse()
-
-	if *list {
-		for _, r := range analysis.Rules() {
-			fmt.Printf("%-12s %s\n", r.Name, r.Desc)
-		}
-		return
-	}
-
-	var selection []string
-	if *rules != "" {
-		for _, name := range strings.Split(*rules, ",") {
-			if name = strings.TrimSpace(name); name != "" {
-				selection = append(selection, name)
-			}
-		}
-	}
-
-	patterns := flag.Args()
+	patterns := os.Args[1:]
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-
-	run := func(dir string, patterns []string) ([]analysis.Diagnostic, error) {
-		return analysis.RunRules(dir, patterns, selection)
-	}
-	if *escapes {
-		if *fix {
-			fmt.Fprintln(os.Stderr, "tilesimvet: -escapes findings have no machine-applicable fixes; drop -fix")
-			os.Exit(2)
-		}
-		if len(selection) > 0 {
-			fmt.Fprintln(os.Stderr, "tilesimvet: -escapes is not part of the rule registry; drop -rules")
-			os.Exit(2)
-		}
-		run = analysis.RunEscapes
-	}
-	diags, err := run(".", patterns)
+	diags, err := analysis.Run(".", patterns)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "tilesimvet: %v\n", err)
 		os.Exit(2)
 	}
-
-	if *fix {
-		changed, err := analysis.ApplyFixes(diags)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "tilesimvet: %v\n", err)
-			os.Exit(2)
-		}
-		for _, file := range changed {
-			fmt.Fprintf(os.Stderr, "tilesimvet: fixed %s\n", file)
-		}
-		// Keep only the findings with no machine-applicable fix; the
-		// fixed ones are resolved on disk now.
-		remaining := diags[:0]
-		for _, d := range diags {
-			if d.Fix == nil {
-				remaining = append(remaining, d)
-			}
-		}
-		diags = remaining
-	}
-
-	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if diags == nil {
-			diags = []analysis.Diagnostic{}
-		}
-		if err := enc.Encode(diags); err != nil {
-			fmt.Fprintf(os.Stderr, "tilesimvet: %v\n", err)
-			os.Exit(2)
-		}
-	} else {
-		for _, d := range diags {
-			fmt.Println(d)
-		}
+	for _, d := range diags {
+		fmt.Println(d)
 	}
 	if len(diags) > 0 {
 		os.Exit(1)

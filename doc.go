@@ -36,7 +36,7 @@
 //	internal/sweep      parallel sweep engine + result cache  DESIGN.md §9, §15
 //	                    + ledger records
 //	internal/figures    paper table/figure regeneration       DESIGN.md §4
-//	internal/analysis   tilesimvet static-analysis rules      DESIGN.md §8, §17
+//	internal/analysis   tilesimvet static-analysis rules      DESIGN.md §8, §12, §17
 //	internal/pooldbg    pooled-object runtime sanitizer       DESIGN.md §17
 //	                    (-tags pooldebug)
 //	cmd/tilesim         single-run CLI

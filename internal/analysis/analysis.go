@@ -1,45 +1,35 @@
 // Package analysis implements tilesimvet, the simulator-specific static
 // checks that keep tilesim's cycle-level results bit-for-bit
-// reproducible and its failure modes diagnosable:
+// reproducible and its failure modes diagnosable. Each rule below
+// catches some injected defect that the tests and gates miss, or catch
+// only in some runs (the injection table in DESIGN.md §12.2):
 //
-//   - determinism: no map iteration in simulator packages (Go randomizes
-//     range-over-map order) unless explicitly annotated as order-safe,
-//     no wall-clock time, and no global/unseeded math/rand outside
-//     cmd/ and test files.
+//   - determinism: no range over a map in simulator packages (Go
+//     randomizes iteration order per run) unless the statement is
+//     annotated //tilesim:ordered as order-safe; floating-point
+//     accumulation in the body is flagged even then, because float
+//     summation is not associative.
 //   - stablesort: sort.Slice in simulator packages must be
-//     sort.SliceStable (or carry a //tilesim:totalorder annotation
-//     proving the comparator is a total order), since the tie-breaking
-//     order of an unstable sort is unspecified and silently diverges.
-//   - floatorder: floating-point accumulation inside a range over a map
-//     is flagged even when the range is //tilesim:ordered-annotated —
-//     float summation is not associative, so iteration order changes
-//     the result bits.
-//   - taint: a module-wide call-graph pass flags internal/ functions
-//     from which time.Now or the global math/rand source is
-//     *transitively* reachable through helpers and stored function
-//     values, closing the hole the per-callsite determinism check
-//     leaves open.
-//   - unit safety: additive arithmetic, compound assignment and
-//     comparisons must not mix values of distinct physical units
-//     (cycles, joules, flits, seconds). Unit types are declared with a
-//     //tilesim:unit annotation on their type declaration.
-//   - panic hygiene: every panic in internal/ packages must carry a
-//     constant "<pkg>: ..."-prefixed message so a crash names its
-//     subsystem.
-//   - exhaustiveness: a switch over an enum-like named type must cover
+//     sort.SliceStable, since the tie-breaking order of an unstable
+//     sort is unspecified and silently diverges.
+//   - taint: a module-wide call-graph pass flags every wall-clock read
+//     (time.Now, time.Since, time.Until) and global math/rand draw
+//     outside cmd/, at the callsite, and every internal/ function from
+//     which one is transitively reachable through helpers and stored
+//     function values.
+//   - units: additive arithmetic, compound assignment and comparisons
+//     must not mix values of distinct physical units (cycles, joules,
+//     flits, seconds). Unit types are declared with a //tilesim:unit
+//     annotation on their type declaration.
+//   - panics: every panic in internal/ packages must carry a constant
+//     "<pkg>: ..."-prefixed message so a crash names its subsystem.
+//   - exhaustive: a switch over an enum-like named type must cover
 //     every declared constant or carry a default clause, so adding an
 //     enum value cannot silently fall through a protocol dispatch.
-//   - obs hooks: observability hook calls (obs.Tracer methods) inside
-//     loop bodies must be nil-guarded so disabled observability costs
-//     one pointer check, and interface-boxing hooks (Annotate) must
-//     never run in a loop at all.
-//   - canoncover: every Canonical() method must reference every
-//     exported field of its receiver struct (recursively through
-//     module-declared struct fields), promoting the runtime
-//     field-coverage reflection test to a vet-time guarantee.
-//   - metricskeys: obs.Registry registrations must use
-//     constant-rooted, pointer-free metric names so metric snapshots
-//     stay byte-deterministic across runs.
+//   - hotalloc: no allocation sources reachable from //tilesim:hotpath
+//     roots (see hotpath.go).
+//   - sharedstate: code reachable from a go statement must not touch
+//     unsynchronized shared state (see sharedstate.go).
 //   - poollife: pooled-object lifetime discipline for the freelists
 //     behind //tilesim:pool / //tilesim:release annotations — no use
 //     after release on any path, no double release, no retention into
@@ -47,11 +37,6 @@
 //     generation-snapshot guard or a reasoned //tilesim:retainok
 //     waiver, every release dominated by an acquire, no leaks (see
 //     poollife.go and DESIGN.md §17).
-//
-// Some diagnostics carry a machine-applicable SuggestedFix
-// (sort.Slice -> sort.SliceStable, panic-prefix insertion, nil-guard
-// wrapping); ApplyFixes applies them atomically and gofmt-clean, and
-// cmd/tilesimvet surfaces them behind -fix.
 //
 // The driver is stdlib-only: packages are resolved and compiled by the
 // go tool (go list -export), parsed with go/parser, and type-checked
@@ -71,18 +56,14 @@ import (
 const (
 	// OrderedAnnotation marks a range-over-map statement whose
 	// iteration order cannot affect simulation results (the body sorts
-	// the keys afterwards, or is provably order-independent).
+	// the keys afterwards, or is provably order-independent). It does
+	// not waive float accumulation in the body (see checkDeterminism).
 	OrderedAnnotation = "tilesim:ordered"
 	// UnitAnnotation declares a named type as carrying a physical unit:
 	//
 	//	//tilesim:unit cycles
 	//	type Time uint64
 	UnitAnnotation = "tilesim:unit"
-	// TotalOrderAnnotation marks a sort.Slice call whose comparator is
-	// a total order (no two distinct elements compare equal), so the
-	// unstable sort cannot introduce tie-breaking nondeterminism. The
-	// annotation should be accompanied by a comment proving totality.
-	TotalOrderAnnotation = "tilesim:totalorder"
 	// HotPathAnnotation marks a function declaration as a simulator
 	// hot-path entry point (event loop, mesh transit, coherence
 	// handler). The hotalloc rule checks the annotated function and
@@ -101,10 +82,6 @@ const (
 	//
 	//	//tilesim:sharedok disjoint per-job slots, joined by wg.Wait
 	SharedOKAnnotation = "tilesim:sharedok"
-	// NoEscapeAnnotation asserts that the allocation on its line stays
-	// on the stack; `tilesimvet -escapes` fails when the compiler's
-	// escape analysis disagrees (see Escapes).
-	NoEscapeAnnotation = "tilesim:noescape"
 	// HostOnlyAnnotation marks a function-typed struct field as a
 	// host-side observability conduit (mandatory reason):
 	//
@@ -150,15 +127,11 @@ const (
 
 // Diagnostic is one finding.
 type Diagnostic struct {
-	Pos      token.Position `json:"-"`
-	File     string         `json:"file"`
-	Line     int            `json:"line"`
-	Col      int            `json:"col"`
-	Analyzer string         `json:"analyzer"`
-	Message  string         `json:"message"`
-	// Fix, when non-nil, is a machine-applicable resolution of the
-	// finding (see ApplyFixes and cmd/tilesimvet -fix).
-	Fix *SuggestedFix `json:"fix,omitempty"`
+	File     string
+	Line     int
+	Col      int
+	Analyzer string
+	Message  string
 }
 
 // String renders the diagnostic in the file:line:col style of go vet.
@@ -172,11 +145,9 @@ type pass struct {
 	fset  *token.FileSet
 	units map[string]string // "pkgpath.TypeName" -> unit name
 	// ordered maps file -> set of lines carrying //tilesim:ordered;
-	// totalorder does the same for //tilesim:totalorder and hotpath
-	// for //tilesim:hotpath.
-	ordered    map[*ast.File]map[int]bool
-	totalorder map[*ast.File]map[int]bool
-	hotpath    map[*ast.File]map[int]bool
+	// hotpath does the same for //tilesim:hotpath.
+	ordered map[*ast.File]map[int]bool
+	hotpath map[*ast.File]map[int]bool
 	// allocok and sharedok map file -> line -> waiver reason (empty
 	// string when the annotation carries no reason, which is itself a
 	// finding).
@@ -195,20 +166,13 @@ type pass struct {
 }
 
 func (p *pass) reportf(analyzer string, pos token.Pos, format string, args ...any) {
-	p.reportFix(analyzer, pos, nil, format, args...)
-}
-
-// reportFix is reportf with an attached suggested fix.
-func (p *pass) reportFix(analyzer string, pos token.Pos, fix *SuggestedFix, format string, args ...any) {
 	position := p.fset.Position(pos)
 	p.report(Diagnostic{
-		Pos:      position,
 		File:     position.Filename,
 		Line:     position.Line,
 		Col:      position.Column,
 		Analyzer: analyzer,
 		Message:  fmt.Sprintf(format, args...),
-		Fix:      fix,
 	})
 }
 
@@ -229,11 +193,6 @@ func (p *pass) orderedAt(f *ast.File, pos token.Pos) bool {
 	return p.annotatedAt(p.ordered, f, pos)
 }
 
-// totalOrderAt reports whether a //tilesim:totalorder annotation covers pos.
-func (p *pass) totalOrderAt(f *ast.File, pos token.Pos) bool {
-	return p.annotatedAt(p.totalorder, f, pos)
-}
-
 // inInternal reports whether the package is part of the simulator core
 // (under tilesim's internal/ tree), where the strictest rules apply.
 func (p *pass) inInternal() bool {
@@ -247,15 +206,10 @@ func (p *pass) inCmd() bool {
 }
 
 // module bundles every loaded package for the analyzers that need a
-// whole-program view (taint's call graph, canoncover's cross-package
-// method closure).
+// whole-program view (taint, hotalloc, sharedstate and poollife walk
+// the module-wide reference graph).
 type module struct {
 	passes []*pass
-	fset   *token.FileSet
-	// targets indexes the loaded target packages by import path, so
-	// "declared in the analyzed module" is decidable for types that
-	// reach a pass through export data.
-	targets map[string]*Package
 }
 
 // passFor returns the pass analyzing pkg's source, or nil when pkg is
@@ -272,100 +226,16 @@ func (m *module) passFor(pkg *types.Package) *pass {
 	return nil
 }
 
-// rule binds a registered analyzer name to its implementation: pkg
-// runs once per loaded package, mod runs once over the whole module
-// (after the reference graph is built). A rule has one or the other.
-type rule struct {
-	name string
-	desc string
-	pkg  func(*pass)
-	mod  func(*module, *graph)
-}
-
-// ruleTable registers every analyzer, in execution order. Rule names
-// match the Analyzer field of the diagnostics they emit, so -rules
-// selections and finding filters agree.
-var ruleTable = []rule{
-	{name: "determinism", desc: "no map-range order, wall-clock time, or global rand in simulator packages", pkg: checkDeterminism},
-	{name: "stablesort", desc: "sort.Slice must be sort.SliceStable or carry a //tilesim:totalorder proof", pkg: checkStableSort},
-	{name: "floatorder", desc: "no floating-point accumulation in map iteration order", pkg: checkFloatOrder},
-	{name: "units", desc: "arithmetic must not mix distinct //tilesim:unit physical units", pkg: checkUnits},
-	{name: "panics", desc: "panics in internal/ must carry a constant \"<pkg>: \"-prefixed message", pkg: checkPanics},
-	{name: "exhaustive", desc: "switches over enum-like types must cover every constant or have a default", pkg: checkExhaustive},
-	{name: "obshooks", desc: "observability hooks in loops must be nil-guarded and never box", pkg: checkObsHooks},
-	{name: "metricskeys", desc: "metric registrations must use constant-rooted, pointer-free names", pkg: checkMetricsKeys},
-	{name: "taint", desc: "no module function may transitively reach wall-clock time or global rand", mod: checkTaint},
-	{name: "canoncover", desc: "Canonical() methods must reference every exported receiver field", mod: checkCanonCover},
-	{name: "hotalloc", desc: "no allocation sources reachable from //tilesim:hotpath roots", mod: checkHotAlloc},
-	{name: "sharedstate", desc: "goroutine-reachable code must not touch unsynchronized shared state", mod: checkSharedState},
-	{name: "poollife", desc: "pooled objects: no use-after-release, double-release, unguarded retention, or leaks", mod: checkPoolLife},
-}
-
-// RuleInfo names one registered analyzer for cmd/tilesimvet -list.
-type RuleInfo struct {
-	Name string
-	Desc string
-}
-
-// Rules returns every registered analyzer in execution order.
-func Rules() []RuleInfo {
-	out := make([]RuleInfo, 0, len(ruleTable))
-	for _, r := range ruleTable {
-		out = append(out, RuleInfo{Name: r.name, Desc: r.desc})
-	}
-	return out
-}
-
-// selectRules resolves a -rules style selection into the enabled-name
-// set. Entries enable rules by name; a leading '-' disables one. If any
-// entry is a plain enable, the selection starts from only those rules;
-// otherwise it starts from all of them. Unknown names are an error.
-func selectRules(selection []string) (map[string]bool, error) {
-	known := make(map[string]bool, len(ruleTable))
-	for _, r := range ruleTable {
-		known[r.name] = true
-	}
-	enabled := make(map[string]bool, len(ruleTable))
-	explicit := false
-	for _, s := range selection {
-		if !strings.HasPrefix(s, "-") {
-			explicit = true
-		}
-	}
-	if !explicit {
-		for name := range known { //tilesim:ordered — membership set, no iteration output
-			enabled[name] = true
-		}
-	}
-	for _, s := range selection {
-		name, disable := strings.CutPrefix(s, "-")
-		if !known[name] {
-			return nil, fmt.Errorf("analysis: unknown rule %q (run tilesimvet -list for the registry)", name)
-		}
-		if disable {
-			delete(enabled, name)
-		} else {
-			enabled[name] = true
-		}
-	}
-	return enabled, nil
-}
+// pkgRules run once per loaded package; moduleRules run once over the
+// whole module, after the reference graph is built.
+var (
+	pkgRules    = []func(*pass){checkDeterminism, checkStableSort, checkUnits, checkPanics, checkExhaustive}
+	moduleRules = []func(*module, *graph){checkTaint, checkHotAlloc, checkSharedState, checkPoolLife}
+)
 
 // Run loads the packages matched by patterns from dir and applies every
 // analyzer, returning the findings sorted by position.
 func Run(dir string, patterns []string) ([]Diagnostic, error) {
-	return RunRules(dir, patterns, nil)
-}
-
-// RunRules is Run restricted to a rule selection (see selectRules; nil
-// or empty runs everything). Disabling a rule also disables its waiver
-// audit, so e.g. -rules=-hotalloc does not turn every //tilesim:allocok
-// waiver into a stale-waiver finding.
-func RunRules(dir string, patterns []string, selection []string) ([]Diagnostic, error) {
-	enabled, err := selectRules(selection)
-	if err != nil {
-		return nil, err
-	}
 	pkgs, fset, err := Load(dir, patterns)
 	if err != nil {
 		return nil, err
@@ -381,38 +251,32 @@ func RunRules(dir string, patterns []string, selection []string) ([]Diagnostic, 
 
 	var diags []Diagnostic
 	report := func(d Diagnostic) { diags = append(diags, d) }
-	mod := &module{fset: fset, targets: make(map[string]*Package)}
+	mod := &module{}
 	for _, pkg := range pkgs {
 		p := &pass{
-			pkg:        pkg,
-			fset:       fset,
-			units:      units,
-			ordered:    collectAnnotations(fset, pkg, OrderedAnnotation),
-			totalorder: collectAnnotations(fset, pkg, TotalOrderAnnotation),
-			hotpath:    collectAnnotations(fset, pkg, HotPathAnnotation),
-			allocok:    collectReasonAnnotations(fset, pkg, AllocOKAnnotation),
-			sharedok:   collectReasonAnnotations(fset, pkg, SharedOKAnnotation),
-			hostonly:   collectReasonAnnotations(fset, pkg, HostOnlyAnnotation),
-			poolacq:    collectReasonAnnotations(fset, pkg, PoolAnnotation),
-			poolrel:    collectReasonAnnotations(fset, pkg, ReleaseAnnotation),
-			retainok:   collectReasonAnnotations(fset, pkg, RetainOKAnnotation),
-			report:     report,
+			pkg:      pkg,
+			fset:     fset,
+			units:    units,
+			ordered:  collectAnnotations(fset, pkg, OrderedAnnotation),
+			hotpath:  collectAnnotations(fset, pkg, HotPathAnnotation),
+			allocok:  collectReasonAnnotations(fset, pkg, AllocOKAnnotation),
+			sharedok: collectReasonAnnotations(fset, pkg, SharedOKAnnotation),
+			hostonly: collectReasonAnnotations(fset, pkg, HostOnlyAnnotation),
+			poolacq:  collectReasonAnnotations(fset, pkg, PoolAnnotation),
+			poolrel:  collectReasonAnnotations(fset, pkg, ReleaseAnnotation),
+			retainok: collectReasonAnnotations(fset, pkg, RetainOKAnnotation),
+			report:   report,
 		}
 		mod.passes = append(mod.passes, p)
-		mod.targets[pkg.Path] = pkg
-		for _, r := range ruleTable {
-			if r.pkg != nil && enabled[r.name] {
-				r.pkg(p)
-			}
+		for _, check := range pkgRules {
+			check(p)
 		}
 	}
 
 	// Module-wide passes: these see every loaded package at once.
 	graph := buildGraph(mod)
-	for _, r := range ruleTable {
-		if r.mod != nil && enabled[r.name] {
-			r.mod(mod, graph)
-		}
+	for _, check := range moduleRules {
+		check(mod, graph)
 	}
 
 	sort.SliceStable(diags, func(i, j int) bool {

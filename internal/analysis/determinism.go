@@ -2,32 +2,28 @@ package analysis
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 )
 
-// checkDeterminism flags the three classic sources of silent
-// nondeterminism in a cycle-level simulator:
-//
-//  1. range over a map in a simulator-core (internal/) package: Go
-//     randomizes map iteration order per run, so any map-order-dependent
-//     side effect makes two identically-seeded runs diverge. A statement
-//     may be annotated //tilesim:ordered when its body is order-safe
-//     (e.g. it only collects keys that are sorted before use, as
-//     stats.SortedKeys does).
-//  2. wall-clock time (time.Now, time.Since, time.Until) outside cmd/:
-//     simulated time must come from the sim.Kernel clock.
-//  3. global math/rand functions (rand.Intn, rand.Float64, ...) outside
-//     cmd/: the global source is shared, seedable from anywhere, and in
-//     modern Go auto-seeded per process; simulator randomness must flow
-//     from an explicit rand.New(rand.NewSource(seed)).
+// checkDeterminism flags range over a map in a simulator-core
+// (internal/) package: Go randomizes map iteration order per run, so
+// any map-order-dependent side effect makes two identically-seeded
+// runs diverge. A statement may be annotated //tilesim:ordered when its
+// body is order-safe (e.g. it only collects keys that are sorted before
+// use, as stats.SortedKeys does). The annotation does not waive
+// floating-point accumulation in the body: float addition is not
+// associative, so summing the same values in another order changes the
+// result bits. Wall-clock and global-rand reads are the taint rule's
+// (taint.go).
 func checkDeterminism(p *pass) {
+	if !p.inInternal() {
+		return
+	}
 	for _, f := range p.pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.RangeStmt:
-				p.checkMapRange(f, n)
-			case *ast.SelectorExpr:
-				p.checkClockAndRand(n)
+			if rng, ok := n.(*ast.RangeStmt); ok {
+				p.checkMapRange(f, rng)
 			}
 			return true
 		})
@@ -35,9 +31,6 @@ func checkDeterminism(p *pass) {
 }
 
 func (p *pass) checkMapRange(f *ast.File, n *ast.RangeStmt) {
-	if !p.inInternal() {
-		return
-	}
 	tv, ok := p.pkg.Info.Types[n.X]
 	if !ok {
 		return
@@ -46,6 +39,7 @@ func (p *pass) checkMapRange(f *ast.File, n *ast.RangeStmt) {
 		return
 	}
 	if p.orderedAt(f, n.Pos()) {
+		p.checkFloatAccum(n)
 		return
 	}
 	p.reportf("determinism", n.Pos(),
@@ -53,49 +47,68 @@ func (p *pass) checkMapRange(f *ast.File, n *ast.RangeStmt) {
 		types.TypeString(tv.Type, types.RelativeTo(p.pkg.Pkg)), OrderedAnnotation)
 }
 
-// forbiddenClockFuncs are the wall-clock entry points of package time.
-var forbiddenClockFuncs = map[string]bool{
-	"Now": true, "Since": true, "Until": true,
+// checkFloatAccum reports float accumulation (acc += v, acc -= v,
+// acc = acc + v, acc = acc - v) in an annotated map-range body.
+// Function literals are lexical boundaries (their bodies do not run per
+// iteration), and nested map ranges are checked when visited
+// themselves.
+func (p *pass) checkFloatAccum(rng *ast.RangeStmt) {
+	ast.Inspect(rng.Body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.FuncLit:
+			return false
+		case *ast.RangeStmt:
+			if tv, ok := p.pkg.Info.Types[n.X]; ok {
+				if _, isMap := tv.Type.Underlying().(*types.Map); isMap {
+					return false
+				}
+			}
+		case *ast.AssignStmt:
+			if lhs, ok := p.floatAccumTarget(n); ok {
+				p.reportf("determinism", n.Pos(),
+					"floating-point accumulation of %s inside a range over a map: summation order changes float results (even under //%s); iterate sorted keys or accumulate an integer",
+					types.ExprString(lhs), OrderedAnnotation)
+			}
+		}
+		return true
+	})
 }
 
-// globalRandFuncs are the package-level math/rand functions that draw
-// from the shared global source.
-var globalRandFuncs = map[string]bool{
-	"Int": true, "Intn": true, "Int31": true, "Int31n": true,
-	"Int63": true, "Int63n": true, "Uint32": true, "Uint64": true,
-	"Float32": true, "Float64": true, "ExpFloat64": true,
-	"NormFloat64": true, "Perm": true, "Shuffle": true, "Seed": true,
-	"Read": true,
+// floatAccumTarget reports whether the assignment accumulates into a
+// float-underlying lvalue, returning that lvalue.
+func (p *pass) floatAccumTarget(n *ast.AssignStmt) (ast.Expr, bool) {
+	switch n.Tok {
+	case token.ADD_ASSIGN, token.SUB_ASSIGN:
+		if len(n.Lhs) == 1 && p.isFloat(n.Lhs[0]) {
+			return n.Lhs[0], true
+		}
+	case token.ASSIGN:
+		// x = x + v / x = x - v spelled out.
+		for i, lhs := range n.Lhs {
+			if i >= len(n.Rhs) || !p.isFloat(lhs) {
+				continue
+			}
+			be, ok := ast.Unparen(n.Rhs[i]).(*ast.BinaryExpr)
+			if !ok || (be.Op != token.ADD && be.Op != token.SUB) {
+				continue
+			}
+			want := types.ExprString(lhs)
+			if types.ExprString(ast.Unparen(be.X)) == want || types.ExprString(ast.Unparen(be.Y)) == want {
+				return lhs, true
+			}
+		}
+	default: // other assignment operators do not accumulate additively
+	}
+	return nil, false
 }
 
-func (p *pass) checkClockAndRand(sel *ast.SelectorExpr) {
-	if p.inCmd() {
-		return
-	}
-	ident, ok := sel.X.(*ast.Ident)
+// isFloat reports whether the expression's type has a floating-point
+// underlying type.
+func (p *pass) isFloat(e ast.Expr) bool {
+	tv, ok := p.pkg.Info.Types[e]
 	if !ok {
-		return
+		return false
 	}
-	obj, ok := p.pkg.Info.Uses[ident]
-	if !ok {
-		return
-	}
-	pkgName, ok := obj.(*types.PkgName)
-	if !ok {
-		return
-	}
-	switch pkgName.Imported().Path() {
-	case "time":
-		if forbiddenClockFuncs[sel.Sel.Name] {
-			p.reportf("determinism", sel.Pos(),
-				"time.%s: wall-clock time in a simulator package; use the sim.Kernel clock (cmd/ and _test.go files are exempt)",
-				sel.Sel.Name)
-		}
-	case "math/rand", "math/rand/v2":
-		if globalRandFuncs[sel.Sel.Name] {
-			p.reportf("determinism", sel.Pos(),
-				"rand.%s draws from the global source; use an explicit rand.New(rand.NewSource(seed)) so runs are reproducible",
-				sel.Sel.Name)
-		}
-	}
+	basic, ok := tv.Type.Underlying().(*types.Basic)
+	return ok && basic.Info()&types.IsFloat != 0
 }

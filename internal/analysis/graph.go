@@ -6,11 +6,10 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
-	"strings"
 )
 
 // graph is the module-wide reference graph the whole-program analyzers
-// (taint, canoncover, hotalloc, sharedstate) share. Nodes are declared
+// (taint, hotalloc, sharedstate, poollife) share. Nodes are declared
 // functions, methods, package-level variables, anonymous function
 // literals that flow somewhere trackable, and function-typed struct
 // fields of the loaded target packages. Declared functions and
@@ -41,8 +40,8 @@ type graphNode struct {
 	lit *ast.FuncLit
 	// sources are the forbidden nondeterminism entry points the
 	// declaration references directly ("time.Now", "rand.Intn", ...),
-	// sorted.
-	sources []string
+	// in source order.
+	sources []source
 	// refs are the IDs of module declarations this one references —
 	// by call or by value use, so stored function values propagate —
 	// sorted and deduplicated.
@@ -61,6 +60,13 @@ type graphNode struct {
 	poolRelease bool
 	poolByType  bool
 	poolType    string
+}
+
+// source is one direct reference to a forbidden nondeterminism entry
+// point.
+type source struct {
+	name string
+	pos  token.Pos
 }
 
 // body returns the analyzable statement body of the node, or nil for
@@ -182,7 +188,6 @@ func buildGraph(m *module) *graph {
 		}
 	}
 	for _, n := range g.nodes { //tilesim:ordered — per-node normalization, order-independent
-		n.sources = sortDedup(n.sources)
 		n.refs = sortDedup(n.refs)
 	}
 	g.goRoots = sortDedup(g.goRoots)
@@ -247,8 +252,8 @@ func (g *graph) collectRefs(p *pass, node *graphNode, root ast.Node, locals map[
 			}
 			switch obj := obj.(type) {
 			case *types.Func:
-				if src, forbidden := forbiddenSource(obj); forbidden {
-					node.sources = append(node.sources, src)
+				if name, forbidden := forbiddenSource(obj); forbidden {
+					node.sources = append(node.sources, source{name, n.Pos()})
 					return true
 				}
 				if _, inModule := g.nodes[obj.FullName()]; inModule {
@@ -499,9 +504,23 @@ func namedOf(t types.Type) (*types.Named, bool) {
 	}
 }
 
+// forbiddenClockFuncs are the wall-clock entry points of package time.
+var forbiddenClockFuncs = map[string]bool{
+	"Now": true, "Since": true, "Until": true,
+}
+
+// globalRandFuncs are the package-level math/rand functions that draw
+// from the shared global source.
+var globalRandFuncs = map[string]bool{
+	"Int": true, "Intn": true, "Int31": true, "Int31n": true,
+	"Int63": true, "Int63n": true, "Uint32": true, "Uint64": true,
+	"Float32": true, "Float64": true, "ExpFloat64": true,
+	"NormFloat64": true, "Perm": true, "Shuffle": true, "Seed": true,
+	"Read": true,
+}
+
 // forbiddenSource reports whether fn is a nondeterminism entry point:
-// a wall-clock read or a global math/rand draw (the same sets the
-// per-callsite determinism rule enforces). Methods are never sources —
+// a wall-clock read or a global math/rand draw. Methods are never sources —
 // (*rand.Rand).Float64 on an explicitly seeded generator is exactly
 // the sanctioned alternative to the package-level rand.Float64.
 func forbiddenSource(fn *types.Func) (string, bool) {
@@ -598,10 +617,4 @@ func sortDedup(in []string) []string {
 		out = append(out, s)
 	}
 	return out
-}
-
-// moduleInternalPath reports whether an import path belongs to the
-// analyzed module's internal tree (fixture packages included).
-func moduleInternalPath(path string) bool {
-	return strings.Contains(path, "/internal/")
 }

@@ -21,9 +21,7 @@ import (
 //
 //   - &T{} composite literals and new(T): one heap object per execution;
 //   - make of maps, slices and channels;
-//   - capacity-less append inside a loop (with a machine-applicable
-//     capacity-hint fix when the slice is created in the same function
-//     and the loop ranges over an in-scope value);
+//   - capacity-less append inside a loop;
 //   - map and slice literals (a fresh backing store every execution);
 //   - fmt.Sprintf/Sprint/Sprintln/Errorf and errors.New;
 //   - non-constant string concatenation;
@@ -121,15 +119,6 @@ func anyContains(rs []posRange, pos token.Pos) bool {
 	return false
 }
 
-// loopInfo is one for/range statement of the scanned body.
-type loopInfo struct {
-	stmt ast.Stmt
-	body posRange
-	// rangeX is the ranged-over expression for RangeStmt loops (nil
-	// for ForStmt), used by the capacity-hint fix.
-	rangeX ast.Expr
-}
-
 // hotScan walks one hot function (or funclit) body.
 type hotScan struct {
 	node     *graphNode
@@ -138,7 +127,7 @@ type hotScan struct {
 	reported map[string]bool
 
 	file       *ast.File
-	loops      []loopInfo
+	loops      []posRange // loop bodies
 	panics     []posRange
 	callFuns   map[ast.Expr]bool
 	addrOfLits map[ast.Expr]bool
@@ -158,9 +147,9 @@ func (s *hotScan) run(body *ast.BlockStmt) {
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.ForStmt:
-			s.loops = append(s.loops, loopInfo{stmt: n, body: posRange{n.Body.Pos(), n.Body.End()}})
+			s.loops = append(s.loops, posRange{n.Body.Pos(), n.Body.End()})
 		case *ast.RangeStmt:
-			s.loops = append(s.loops, loopInfo{stmt: n, body: posRange{n.Body.Pos(), n.Body.End()}, rangeX: n.X})
+			s.loops = append(s.loops, posRange{n.Body.Pos(), n.Body.End()})
 		case *ast.CallExpr:
 			s.callFuns[n.Fun] = true
 			if ident, ok := n.Fun.(*ast.Ident); ok && ident.Name == "panic" && isBuiltin(p, ident) {
@@ -183,7 +172,7 @@ func (s *hotScan) run(body *ast.BlockStmt) {
 				return true
 			}
 			if lit, ok := n.X.(*ast.CompositeLit); ok {
-				s.reportf(n.Pos(), nil, "&%s composite literal allocates on a hot path (via %s); pool or reuse the object",
+				s.reportf(n.Pos(), "&%s composite literal allocates on a hot path (via %s); pool or reuse the object",
 					typeLabel(p, lit), s.root)
 			}
 		case *ast.CompositeLit:
@@ -192,9 +181,9 @@ func (s *hotScan) run(body *ast.BlockStmt) {
 			}
 			switch p.pkg.Info.Types[n].Type.Underlying().(type) {
 			case *types.Map:
-				s.reportf(n.Pos(), nil, "map literal allocates on a hot path (via %s); hoist it out of the per-event path", s.root)
+				s.reportf(n.Pos(), "map literal allocates on a hot path (via %s); hoist it out of the per-event path", s.root)
 			case *types.Slice:
-				s.reportf(n.Pos(), nil, "slice literal allocates a fresh backing array on a hot path (via %s); hoist it out of the per-event path", s.root)
+				s.reportf(n.Pos(), "slice literal allocates a fresh backing array on a hot path (via %s); hoist it out of the per-event path", s.root)
 			}
 		case *ast.CallExpr:
 			s.checkCall(n)
@@ -203,7 +192,7 @@ func (s *hotScan) run(body *ast.BlockStmt) {
 		case *ast.AssignStmt:
 			if n.Tok == token.ADD_ASSIGN && len(n.Lhs) == 1 && isStringType(p, n.Lhs[0]) {
 				if !anyContains(s.panics, n.Pos()) {
-					s.reportf(n.Pos(), nil, "string concatenation allocates on a hot path (via %s)", s.root)
+					s.reportf(n.Pos(), "string concatenation allocates on a hot path (via %s)", s.root)
 				}
 			}
 		case *ast.FuncLit:
@@ -228,11 +217,11 @@ func (s *hotScan) checkCall(call *ast.CallExpr) {
 		}
 		switch fun.Name {
 		case "new":
-			s.reportf(call.Pos(), nil, "new(...) allocates on a hot path (via %s); pool or reuse the object", s.root)
+			s.reportf(call.Pos(), "new(...) allocates on a hot path (via %s); pool or reuse the object", s.root)
 			return
 		case "make":
 			if !inPanic {
-				s.reportf(call.Pos(), nil, "make allocates on a hot path (via %s); hoist the buffer out of the per-event path or pool it", s.root)
+				s.reportf(call.Pos(), "make allocates on a hot path (via %s); hoist the buffer out of the per-event path or pool it", s.root)
 			}
 			return
 		case "append":
@@ -246,7 +235,7 @@ func (s *hotScan) checkCall(call *ast.CallExpr) {
 			switch name {
 			case "fmt.Sprintf", "fmt.Sprint", "fmt.Sprintln", "fmt.Errorf", "errors.New":
 				if !inPanic {
-					s.reportf(call.Pos(), nil, "%s allocates on a hot path (via %s); precompute the string outside the per-event path", name, s.root)
+					s.reportf(call.Pos(), "%s allocates on a hot path (via %s); precompute the string outside the per-event path", name, s.root)
 				}
 				return
 			}
@@ -258,33 +247,19 @@ func (s *hotScan) checkCall(call *ast.CallExpr) {
 	s.checkBoxing(call)
 }
 
-// checkAppend flags capacity-less appends inside loops and, when the
-// appended slice is created capacity-less in the same body and the
-// innermost loop ranges over an in-scope value, attaches a
-// machine-applicable capacity-hint fix.
+// checkAppend flags capacity-less appends inside loops, unless the
+// appended slice is visibly created with a capacity in the same body.
 func (s *hotScan) checkAppend(call *ast.CallExpr) {
 	p := s.node.p
-	var loop *loopInfo
-	for i := range s.loops {
-		if s.loops[i].body.contains(call.Pos()) {
-			loop = &s.loops[i] // keep innermost (later entries nest deeper or follow)
+	if !anyContains(s.loops, call.Pos()) || len(call.Args) == 0 {
+		return
+	}
+	if base, ok := call.Args[0].(*ast.Ident); ok {
+		if obj := p.pkg.Info.Uses[base]; obj != nil && s.createdWithCapacity(obj) {
+			return
 		}
 	}
-	if loop == nil || len(call.Args) == 0 {
-		return
-	}
-	base, _ := call.Args[0].(*ast.Ident)
-	var sliceObj types.Object
-	if base != nil {
-		sliceObj = p.pkg.Info.Uses[base]
-	}
-	// A slice visibly created with a capacity in this body is exempt:
-	// the append amortizes against the preallocation.
-	if sliceObj != nil && s.createdWithCapacity(sliceObj) {
-		return
-	}
-	fix := s.capacityHintFix(sliceObj, loop)
-	s.reportf(call.Pos(), fix, "capacity-less append inside a loop on a hot path (via %s); preallocate with make(..., 0, n)", s.root)
+	s.reportf(call.Pos(), "capacity-less append inside a loop on a hot path (via %s); preallocate with make(..., 0, n)", s.root)
 }
 
 // createdWithCapacity reports whether obj is bound by a make call with
@@ -320,77 +295,6 @@ func (s *hotScan) createdWithCapacity(obj types.Object) bool {
 	return found
 }
 
-// capacityHintFix builds the make-with-capacity rewrite when the
-// pattern is provably safe: the slice is defined in this body by
-// `x := make([]T, 0)` or `x := []T{}`, the innermost loop is
-// `for ... := range X` with X a plain identifier or selector, and X is
-// in scope at the definition. Returns nil when any condition fails.
-func (s *hotScan) capacityHintFix(obj types.Object, loop *loopInfo) *SuggestedFix {
-	p := s.node.p
-	if obj == nil || loop == nil || loop.rangeX == nil {
-		return nil
-	}
-	rangeBase := baseIdent(loop.rangeX)
-	if rangeBase == nil {
-		return nil
-	}
-	rangeObj := p.pkg.Info.Uses[rangeBase]
-	if rangeObj == nil {
-		return nil
-	}
-	if _, isCall := loop.rangeX.(*ast.CallExpr); isCall {
-		return nil
-	}
-	var fix *SuggestedFix
-	ast.Inspect(s.node.body(), func(n ast.Node) bool {
-		if fix != nil {
-			return false
-		}
-		assign, ok := n.(*ast.AssignStmt)
-		if !ok || assign.Tok != token.DEFINE || len(assign.Lhs) != 1 || len(assign.Rhs) != 1 {
-			return true
-		}
-		ident, ok := assign.Lhs[0].(*ast.Ident)
-		if !ok || p.pkg.Info.Defs[ident] != obj {
-			return true
-		}
-		// X must already be in scope where the slice is defined, and
-		// the definition must precede the loop.
-		if rangeObj.Pos() >= assign.Pos() || assign.End() > loop.stmt.Pos() {
-			return true
-		}
-		var typeExpr ast.Expr
-		switch rhs := assign.Rhs[0].(type) {
-		case *ast.CallExpr:
-			fn, ok := rhs.Fun.(*ast.Ident)
-			if !ok || fn.Name != "make" || !isBuiltin(p, fn) || len(rhs.Args) != 2 {
-				return true
-			}
-			if !isZeroLiteral(rhs.Args[1]) {
-				return true
-			}
-			typeExpr = rhs.Args[0]
-		case *ast.CompositeLit:
-			if len(rhs.Elts) != 0 {
-				return true
-			}
-			if _, isSlice := p.pkg.Info.Types[rhs].Type.Underlying().(*types.Slice); !isSlice {
-				return true
-			}
-			typeExpr = rhs.Type
-		default:
-			return true
-		}
-		newText := fmt.Sprintf("make(%s, 0, len(%s))", exprText(p.fset, typeExpr), exprText(p.fset, loop.rangeX))
-		fix = &SuggestedFix{
-			Message: "preallocate the slice to the ranged-over length",
-			Edits:   []TextEdit{p.edit(assign.Rhs[0].Pos(), assign.Rhs[0].End(), newText)},
-		}
-		return false
-	})
-	return fix
-}
-
 // checkConcat flags non-constant string concatenation, reporting only
 // the outermost + of a chain.
 func (s *hotScan) checkConcat(expr *ast.BinaryExpr) {
@@ -413,7 +317,7 @@ func (s *hotScan) checkConcat(expr *ast.BinaryExpr) {
 	if anyContains(s.panics, expr.Pos()) {
 		return
 	}
-	s.reportf(expr.Pos(), nil, "string concatenation allocates on a hot path (via %s)", s.root)
+	s.reportf(expr.Pos(), "string concatenation allocates on a hot path (via %s)", s.root)
 }
 
 // checkFuncLit flags capturing closures: each one heap-allocates its
@@ -456,7 +360,7 @@ func (s *hotScan) checkFuncLit(lit *ast.FuncLit) {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	s.reportf(lit.Pos(), nil, "closure capturing %s allocates per event on a hot path (via %s)",
+	s.reportf(lit.Pos(), "closure capturing %s allocates per event on a hot path (via %s)",
 		strings.Join(names, ", "), s.root)
 }
 
@@ -490,7 +394,7 @@ func (s *hotScan) checkMethodValue(sel *ast.SelectorExpr) {
 	if anyContains(s.panics, sel.Pos()) {
 		return
 	}
-	s.reportf(sel.Pos(), nil, "method value %s.%s allocates a bound-method closure on a hot path (via %s); bind it once at construction",
+	s.reportf(sel.Pos(), "method value %s.%s allocates a bound-method closure on a hot path (via %s); bind it once at construction",
 		exprText(p.fset, sel.X), sel.Sel.Name, s.root)
 }
 
@@ -539,7 +443,7 @@ func (s *hotScan) checkBoxing(call *ast.CallExpr) {
 		case *types.Pointer, *types.Chan, *types.Map, *types.Signature:
 			continue // one word; stored directly in the interface
 		}
-		s.reportf(arg.Pos(), nil, "%s boxes into an interface parameter and allocates on a hot path (via %s); use a concrete-typed API",
+		s.reportf(arg.Pos(), "%s boxes into an interface parameter and allocates on a hot path (via %s); use a concrete-typed API",
 			exprText(p.fset, arg), s.root)
 	}
 }
@@ -547,28 +451,28 @@ func (s *hotScan) checkBoxing(call *ast.CallExpr) {
 // reportf reports one hotalloc finding unless a //tilesim:allocok
 // waiver covers the position; used waivers are recorded for the stale
 // audit, and a waiver with no reason is itself reported.
-func (s *hotScan) reportf(pos token.Pos, fix *SuggestedFix, format string, args ...any) {
+func (s *hotScan) reportf(pos token.Pos, format string, args ...any) {
 	p := s.node.p
 	if reason, line, ok := waiverAt(p, p.allocok, s.file, pos); ok {
 		markWaiverUsed(s.used, p, s.file, line)
 		if reason == "" {
-			s.reportOnce(pos, nil, "//%s waiver needs a reason", AllocOKAnnotation)
+			s.reportOnce(pos, "//%s waiver needs a reason", AllocOKAnnotation)
 		}
 		return
 	}
-	s.reportOnce(pos, fix, format, args...)
+	s.reportOnce(pos, format, args...)
 }
 
 // reportOnce deduplicates findings that would repeat when a funclit is
 // scanned both inline and as its own stored-callback node.
-func (s *hotScan) reportOnce(pos token.Pos, fix *SuggestedFix, format string, args ...any) {
+func (s *hotScan) reportOnce(pos token.Pos, format string, args ...any) {
 	msg := fmt.Sprintf(format, args...)
 	key := fmt.Sprintf("%d:%s", pos, msg)
 	if s.reported[key] {
 		return
 	}
 	s.reported[key] = true
-	s.node.p.reportFix("hotalloc", pos, fix, "%s", msg)
+	s.node.p.reportf("hotalloc", pos, "%s", msg)
 }
 
 // waiverAt looks a reason-bearing waiver up at pos's line or the line
@@ -713,9 +617,4 @@ func isStringType(p *pass, e ast.Expr) bool {
 	}
 	basic, ok := tv.Type.Underlying().(*types.Basic)
 	return ok && basic.Info()&types.IsString != 0
-}
-
-func isZeroLiteral(e ast.Expr) bool {
-	lit, ok := e.(*ast.BasicLit)
-	return ok && lit.Kind == token.INT && lit.Value == "0"
 }

@@ -1,9 +1,7 @@
 package analysis
 
 import (
-	"fmt"
 	"go/ast"
-	"go/token"
 	"go/types"
 	"strconv"
 	"strings"
@@ -46,17 +44,7 @@ func checkPanics(p *pass) {
 					"panic with a non-constant message; use a constant %q-prefixed string (return an error if the condition is recoverable)",
 					prefix)
 			case !strings.HasPrefix(msg, prefix):
-				// When the message is a string literal (directly or as
-				// a fmt format), inserting the prefix right after the
-				// opening quote is a safe mechanical fix.
-				var fix *SuggestedFix
-				if lit := p.panicLiteral(call.Args[0]); lit != nil {
-					fix = &SuggestedFix{
-						Message: fmt.Sprintf("insert the %q prefix", prefix),
-						Edits:   []TextEdit{p.insert(lit.Pos()+1, prefix)},
-					}
-				}
-				p.reportFix("panics", call.Pos(), fix,
+				p.reportf("panics", call.Pos(),
 					"panic message %q must carry the %q package prefix", truncate(msg, 40), prefix)
 			}
 			return true
@@ -85,23 +73,6 @@ func (p *pass) panicMessage(arg ast.Expr) (msg string, constant bool) {
 		return "", false
 	}
 	return p.constString(arg)
-}
-
-// panicLiteral returns the string literal carrying a panic's message —
-// the argument itself, or the format argument of its fmt call — when
-// there is one to patch; nil for constants reached through identifiers.
-func (p *pass) panicLiteral(arg ast.Expr) *ast.BasicLit {
-	if call, ok := arg.(*ast.CallExpr); ok {
-		if len(call.Args) == 0 {
-			return nil
-		}
-		arg = call.Args[0]
-	}
-	lit, ok := arg.(*ast.BasicLit)
-	if !ok || lit.Kind != token.STRING {
-		return nil
-	}
-	return lit
 }
 
 // constString resolves an expression to its constant string value.

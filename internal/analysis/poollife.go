@@ -373,10 +373,9 @@ func (s *poolScan) run(fd *ast.FuncDecl) {
 			leaks = append(leaks, leak{obj, pos})
 		}
 	}
-	//tilesim:totalorder distinct acquire statements have distinct positions, so pos never ties
-	sort.Slice(leaks, func(i, j int) bool { return leaks[i].pos < leaks[j].pos })
+	sort.SliceStable(leaks, func(i, j int) bool { return leaks[i].pos < leaks[j].pos })
 	for _, l := range leaks {
-		s.reportOnce(l.pos, nil,
+		s.reportOnce(l.pos,
 			"pooled object %s acquired here is never released, handed off, or retained on any path; the header leaks from its pool",
 			l.obj.Name())
 	}
@@ -530,7 +529,7 @@ func (s *poolScan) stmt(st ast.Stmt, env poolEnv) bool {
 		if id, ok := st.Value.(*ast.Ident); ok {
 			if obj := s.objectOf(id); s.trackable(obj) {
 				if _, tracked := env[obj]; tracked {
-					s.escape(obj, st.Arrow, "a channel", nil)
+					s.escape(obj, st.Arrow, "a channel")
 					s.expr(st.Value, env)
 					return false
 				}
@@ -711,13 +710,13 @@ func (s *poolScan) assign(st *ast.AssignStmt, env poolEnv) {
 			// Store into a field, slice, map, or dereference.
 			if rhsObj != nil {
 				s.useCheck(rhsID, env)
-				s.escape(rhsObj, st.TokPos, escapeTarget(lhs), s.snapshotFix(st, lhs, rhsID))
+				s.escape(rhsObj, st.TokPos, escapeTarget(lhs))
 			} else {
 				s.expr(rhs, env)
 				if call, ok := unparen(rhs).(*ast.CallExpr); ok {
 					if node := s.calleeNode(call); node != nil && node.poolAcquire &&
 						!s.exempt[node.poolType] && s.pooled[node.poolType] && !s.registry[node.poolType] {
-						s.reportOnce(st.TokPos, nil,
+						s.reportOnce(st.TokPos,
 							"pooled object acquired from %s immediately escapes into %s without a local to guard or release it",
 							node.name, escapeTarget(lhs))
 					}
@@ -769,7 +768,7 @@ func (s *poolScan) expr(e ast.Expr, env poolEnv) {
 				if obj := s.objectOf(id); s.trackable(obj) {
 					if _, tracked := env[obj]; tracked {
 						s.useCheck(id, env)
-						s.escape(obj, id.Pos(), "a composite literal", nil)
+						s.escape(obj, id.Pos(), "a composite literal")
 						continue
 					}
 				}
@@ -786,7 +785,7 @@ func (s *poolScan) expr(e ast.Expr, env poolEnv) {
 							// A method value on a tracked pooled local
 							// captures the pointer like a closure would.
 							s.useCheck(id, env)
-							s.escape(obj, e.Pos(), "a method value", nil)
+							s.escape(obj, e.Pos(), "a method value")
 							return
 						case sel.Kind() == types.FieldVal && isFuncField(sel):
 							// Reading a func-valued field (a prebound
@@ -838,7 +837,7 @@ func (s *poolScan) useCheck(id *ast.Ident, env poolEnv) {
 	}
 	st, tracked := env[obj]
 	if tracked && st.mayReleased {
-		s.reportOnce(id.Pos(), nil,
+		s.reportOnce(id.Pos(),
 			"use of pooled %s after release (released at line %d); extract what the code needs before the release",
 			obj.Name(), st.releaseLine)
 	}
@@ -881,7 +880,7 @@ func (s *poolScan) call(call *ast.CallExpr, env poolEnv) {
 				if obj := s.objectOf(aid); s.trackable(obj) {
 					if _, tracked := env[obj]; tracked {
 						s.useCheck(aid, env)
-						s.escape(obj, aid.Pos(), "a slice via append", nil)
+						s.escape(obj, aid.Pos(), "a slice via append")
 						continue
 					}
 				}
@@ -906,12 +905,11 @@ func (s *poolScan) call(call *ast.CallExpr, env poolEnv) {
 						objs = append(objs, obj)
 					}
 				}
-				//tilesim:totalorder distinct declarations have distinct positions, so Pos never ties
-				sort.Slice(objs, func(i, j int) bool { return objs[i].Pos() < objs[j].Pos() })
+				sort.SliceStable(objs, func(i, j int) bool { return objs[i].Pos() < objs[j].Pos() })
 				for _, obj := range objs {
 					st := env[obj]
 					if st.mayReleased {
-						s.reportOnce(call.Pos(), nil,
+						s.reportOnce(call.Pos(),
 							"double release of pooled %s (already released at line %d); a second release corrupts the freelist",
 							obj.Name(), st.releaseLine)
 					}
@@ -979,11 +977,11 @@ func (s *poolScan) releaseArg(call *ast.CallExpr, arg ast.Expr, env poolEnv) {
 	}
 	line := s.p.fset.Position(call.Pos()).Line
 	if st.mayReleased {
-		s.reportOnce(id.Pos(), nil,
+		s.reportOnce(id.Pos(),
 			"double release of pooled %s (already released at line %d); a second release corrupts the freelist",
 			obj.Name(), st.releaseLine)
 	} else if st.mayUnacquired {
-		s.reportOnce(id.Pos(), nil,
+		s.reportOnce(id.Pos(),
 			"release of %s is not dominated by an acquire: on some path into this release it was never taken from its pool",
 			obj.Name())
 	}
@@ -1059,15 +1057,15 @@ func (s *poolScan) capture(lit *ast.FuncLit, env poolEnv, target string) {
 			return true
 		}
 		seen[obj] = true
-		s.escape(obj, lit.Pos(), target, nil)
+		s.escape(obj, lit.Pos(), target)
 		return true
 	})
 }
 
 // escape handles one retention edge of a tracked pooled local: guarded
 // bodies and reason-bearing waivers sanction it, anything else is a
-// finding (with the mechanical snapshot fix when one applies).
-func (s *poolScan) escape(obj types.Object, pos token.Pos, target string, fix *SuggestedFix) {
+// finding.
+func (s *poolScan) escape(obj types.Object, pos token.Pos, target string) {
 	s.resolved[obj] = true
 	if s.guarded[obj] {
 		return
@@ -1075,11 +1073,11 @@ func (s *poolScan) escape(obj types.Object, pos token.Pos, target string, fix *S
 	if reason, line, ok := waiverAt(s.p, s.p.retainok, s.file, pos); ok {
 		markWaiverUsed(s.used, s.p, s.file, line)
 		if reason == "" {
-			s.reportOnce(pos, nil, "//%s waiver needs a reason", RetainOKAnnotation)
+			s.reportOnce(pos, "//%s waiver needs a reason", RetainOKAnnotation)
 		}
 		return
 	}
-	s.reportOnce(pos, fix,
+	s.reportOnce(pos,
 		"pooled %s escapes into %s without a generation-snapshot guard; record Generation() and probe CheckAlive at the use, or waive with //%s <reason>",
 		obj.Name(), target, RetainOKAnnotation)
 }
@@ -1104,66 +1102,13 @@ func escapeTarget(lhs ast.Expr) string {
 	return "a stored location"
 }
 
-// snapshotFix builds the mechanical generation-snapshot insertion for a
-// field-store escape: when the holder struct declares a sibling
-// <field>Gen unsigned counter and the pooled type has a Generation()
-// method, the fix inserts the snapshot assignment before the store.
-func (s *poolScan) snapshotFix(st *ast.AssignStmt, lhs ast.Expr, rhs *ast.Ident) *SuggestedFix {
-	sel, ok := lhs.(*ast.SelectorExpr)
-	if !ok {
-		return nil
-	}
-	rhsObj := s.objectOf(rhs)
-	if rhsObj == nil {
-		return nil
-	}
-	// The pooled type must expose Generation().
-	fn, _, _ := types.LookupFieldOrMethod(rhsObj.Type(), true, s.p.pkg.Pkg, "Generation")
-	if _, ok := fn.(*types.Func); !ok {
-		return nil
-	}
-	// The holder must declare <field>Gen of an unsigned kind.
-	holderType := s.p.pkg.Info.Types[sel.X].Type
-	if holderType == nil {
-		return nil
-	}
-	if ptr, ok := holderType.Underlying().(*types.Pointer); ok {
-		holderType = ptr.Elem()
-	}
-	strct, ok := holderType.Underlying().(*types.Struct)
-	if !ok {
-		return nil
-	}
-	genField := sel.Sel.Name + "Gen"
-	found := false
-	for i := 0; i < strct.NumFields(); i++ {
-		f := strct.Field(i)
-		if f.Name() != genField {
-			continue
-		}
-		if b, ok := f.Type().Underlying().(*types.Basic); ok && b.Info()&types.IsUnsigned != 0 {
-			found = true
-		}
-		break
-	}
-	if !found {
-		return nil
-	}
-	snapshot := fmt.Sprintf("%s.%s = %s.Generation()\n",
-		exprText(s.p.fset, sel.X), genField, rhs.Name)
-	return &SuggestedFix{
-		Message: fmt.Sprintf("record the pool generation into %s.%s before retaining %s", exprText(s.p.fset, sel.X), genField, rhs.Name),
-		Edits:   []TextEdit{s.p.insert(st.Pos(), snapshot)},
-	}
-}
-
-func (s *poolScan) reportOnce(pos token.Pos, fix *SuggestedFix, format string, args ...any) {
+func (s *poolScan) reportOnce(pos token.Pos, format string, args ...any) {
 	key := fmt.Sprintf("%d|%s", pos, fmt.Sprintf(format, args...))
 	if s.reported[key] {
 		return
 	}
 	s.reported[key] = true
-	s.p.reportFix("poollife", pos, fix, format, args...)
+	s.p.reportf("poollife", pos, format, args...)
 }
 
 // unparen strips parentheses.

@@ -11,14 +11,7 @@ import (
 // the sort algorithm of the current Go release, so any downstream
 // consumer of the slice order (event dispatch, metric registration,
 // encoding) can silently diverge between builds or refactors. The rule
-// demands sort.SliceStable — same asymptotics, deterministic ties — or
-// a //tilesim:totalorder annotation on the call, asserting (with a
-// comment proving it) that the comparator is a total order, i.e. no
-// two distinct elements ever compare equal, which makes stability
-// irrelevant.
-//
-// The diagnostic carries a suggested fix rewriting the call to
-// sort.SliceStable.
+// demands sort.SliceStable — same asymptotics, deterministic ties.
 func checkStableSort(p *pass) {
 	if !p.inInternal() {
 		return
@@ -41,16 +34,8 @@ func checkStableSort(p *pass) {
 			if !ok || pkgName.Imported().Path() != "sort" {
 				return true
 			}
-			if p.totalOrderAt(f, call.Pos()) {
-				return true
-			}
-			fix := &SuggestedFix{
-				Message: "replace sort.Slice with sort.SliceStable",
-				Edits:   []TextEdit{p.edit(sel.Sel.Pos(), sel.Sel.End(), "SliceStable")},
-			}
-			p.reportFix("stablesort", call.Pos(), fix,
-				"sort.Slice tie-breaking order is unspecified and unstable; use sort.SliceStable, or annotate //%s with a comment proving the comparator is a total order",
-				TotalOrderAnnotation)
+			p.reportf("stablesort", call.Pos(),
+				"sort.Slice tie-breaking order is unspecified and unstable; use sort.SliceStable")
 			return true
 		})
 	}

@@ -1,15 +1,24 @@
 package analysis
 
-import "strings"
+import (
+	"go/token"
+	"strings"
+)
 
-// checkTaint is the module-wide closure of the determinism rule: it
-// flags internal/ functions from which a wall-clock read (time.Now,
-// time.Since, time.Until) or a global math/rand draw is *transitively*
-// reachable — through helper calls, through methods, and through
-// function values stored in package-level variables. The per-callsite
-// determinism check only sees the final reference; this pass makes the
-// whole call chain visible, so a nondeterministic helper cannot hide
-// behind layers of indirection.
+// checkTaint keeps wall-clock time and the global math/rand source out
+// of the simulator. Simulated time must come from the sim.Kernel clock,
+// and simulator randomness from an explicit rand.New(rand.NewSource(seed)):
+// the global source is shared, seedable from anywhere, and in modern Go
+// auto-seeded per process. The rule reports, outside cmd/:
+//
+//  1. every direct reference to a wall-clock read (time.Now,
+//     time.Since, time.Until) or a global math/rand draw, at the
+//     reference itself — a call or a stored function value;
+//  2. every internal/ function from which such a source is
+//     *transitively* reachable — through helper calls, through
+//     methods, and through function values stored in package-level
+//     variables and struct fields — with the call chain, so a
+//     nondeterministic helper cannot hide behind layers of indirection.
 //
 // Approximation envelope (documented in DESIGN.md §12): edges follow
 // every *reference* to a module function or package-level variable,
@@ -19,11 +28,8 @@ import "strings"
 // dispatch through interface methods and function values received as
 // parameters is not resolved — a source smuggled through those is a
 // known false negative; recursion cycles that reach a source only
-// through the cycle are likewise not chased.
-//
-// Functions that reference a forbidden source directly are skipped
-// here: the determinism analyzer already flags the exact callsite, and
-// repeating it per caller would bury the primary finding.
+// through the cycle are likewise not chased. A function that references
+// a source directly gets the direct finding only, not a chain as well.
 //
 // One sanctioned escape: a function-typed struct field annotated
 // //tilesim:hostonly (see HostOnlyAnnotation) is a host-side
@@ -53,7 +59,7 @@ func checkTaint(m *module, g *graph) {
 		}
 		var chain []string
 		if len(node.sources) > 0 {
-			chain = []string{node.name, node.sources[0]}
+			chain = []string{node.name, node.sources[0].name}
 		} else {
 			for _, ref := range node.refs {
 				if sub := visit(ref); sub != nil {
@@ -66,16 +72,33 @@ func checkTaint(m *module, g *graph) {
 		return chain
 	}
 
+	// A funclit's references are collected both into its own node and
+	// into its enclosing function's, so direct findings are deduplicated
+	// by position.
+	reported := make(map[token.Pos]bool)
 	for _, id := range g.sortedNodeIDs() {
 		node := g.nodes[id]
 		if node.hostonly && node.hostonlyReason == "" {
 			node.p.reportf("taint", node.pos, "//%s waiver needs a reason", HostOnlyAnnotation)
 		}
-		if node.decl == nil || !node.p.inInternal() || node.p.inCmd() {
+		if node.p.inCmd() {
 			continue
 		}
-		if len(node.sources) > 0 {
-			continue // the direct callsite is the determinism analyzer's finding
+		for _, src := range node.sources {
+			if reported[src.pos] {
+				continue
+			}
+			reported[src.pos] = true
+			if strings.HasPrefix(src.name, "time.") {
+				node.p.reportf("taint", src.pos,
+					"%s: wall-clock time in a simulator package; use the sim.Kernel clock (cmd/ and _test.go files are exempt)", src.name)
+			} else {
+				node.p.reportf("taint", src.pos,
+					"%s draws from the global source; use an explicit rand.New(rand.NewSource(seed)) so runs are reproducible", src.name)
+			}
+		}
+		if node.decl == nil || !node.p.inInternal() || len(node.sources) > 0 {
+			continue
 		}
 		if chain := visit(id); chain != nil {
 			node.p.reportf("taint", node.pos,

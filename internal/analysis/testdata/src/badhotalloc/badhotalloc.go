@@ -36,7 +36,7 @@ func Step(n int) string {
 func helper(n int) string {
 	xs := []int{} // want: slice literal
 	for _, e := range events {
-		xs = append(xs, e.seq) // want: capacity-less append, with a capacity-hint fix
+		xs = append(xs, e.seq) // want: capacity-less append
 	}
 	f := func() int { return n + len(xs) } // want: capturing closure
 	ev := event{seq: f()}

@@ -46,8 +46,8 @@ func (p *pool) Put(h *header) {
 	p.free = h
 }
 
-// holder retains a header; the hGen sibling field is what makes the
-// mechanical snapshot fix applicable to escapeField.
+// holder retains a header; the hGen sibling field is where escapeField
+// should record the header's generation snapshot.
 type holder struct {
 	h    *header
 	hGen uint64
@@ -71,10 +71,10 @@ func doubleRelease(p *pool, cond bool) {
 }
 
 // escapeField stores the pooled pointer into a struct field with no
-// generation snapshot; hGen exists, so the finding carries the fix.
+// generation snapshot, although hGen exists to hold one.
 func escapeField(p *pool, dst *holder) {
 	h := p.Get()
-	dst.h = h // want: unguarded field escape, with a snapshot fix
+	dst.h = h // want: unguarded field escape
 }
 
 // escapeSlice appends the pooled pointer into a caller-owned slice.

@@ -7,5 +7,5 @@ import "math/rand"
 
 // Pick returns a number from the global, unseeded source.
 func Pick(n int) int {
-	return rand.Intn(n) // want: determinism finding here
+	return rand.Intn(n) // want: taint finding here
 }

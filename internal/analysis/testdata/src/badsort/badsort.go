@@ -1,7 +1,5 @@
 // Package badsort is a tilesimvet fixture: it sorts with sort.Slice in
-// simulator code, whose tie-breaking order is unspecified, without the
-// //tilesim:totalorder annotation that would assert the comparator is
-// a total order.
+// simulator code, whose tie-breaking order is unspecified.
 package badsort
 
 import "sort"
@@ -25,18 +23,5 @@ func ByCycle(events []Event) {
 func ByCycleStable(events []Event) {
 	sort.SliceStable(events, func(i, j int) bool {
 		return events[i].Cycle < events[j].Cycle
-	})
-}
-
-// ByCycleThenTile may keep the unstable sort: the comparator is a total
-// order (no two events share both keys by construction), which the
-// annotation asserts.
-func ByCycleThenTile(events []Event) {
-	//tilesim:totalorder — (Cycle, Tile) pairs are unique per event list
-	sort.Slice(events, func(i, j int) bool {
-		if events[i].Cycle != events[j].Cycle {
-			return events[i].Cycle < events[j].Cycle
-		}
-		return events[i].Tile < events[j].Tile
 	})
 }

@@ -1,9 +1,9 @@
 // Package badtaint is a tilesimvet fixture for the transitive
 // determinism pass: wall-clock time and global randomness leak into
 // exported entry points through a helper chain and a stored function
-// value. The direct references (the stamp initializer, jitter's body)
-// are the per-callsite determinism analyzer's findings; the taint pass
-// contributes the *callers* that reach them transitively.
+// value. The taint rule reports the direct references (the stamp
+// initializer, jitter's body) at the callsite, and the *callers* that
+// reach them transitively with their call chain.
 package badtaint
 
 import (
@@ -13,7 +13,7 @@ import (
 
 // stamp is a stored clock: the function value hides the wall-clock
 // read from any per-callsite scan of its callers.
-var stamp = time.Now // want: determinism finding here
+var stamp = time.Now // want: taint finding here
 
 // helper invokes the stored clock.
 func helper() int64 { // want: taint finding here
@@ -25,10 +25,10 @@ func Record() int64 { // want: taint finding here
 	return helper()
 }
 
-// jitter draws from the global source directly (the determinism
-// analyzer's finding, not taint's).
+// jitter draws from the global source directly (a direct finding, no
+// chain).
 func jitter() float64 {
-	return rand.Float64() // want: determinism finding here
+	return rand.Float64() // want: taint finding here
 }
 
 // Delay reaches the global source through jitter.

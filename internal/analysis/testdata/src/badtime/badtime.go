@@ -6,10 +6,10 @@ import "time"
 
 // Stamp returns the wall-clock time in nanoseconds.
 func Stamp() int64 {
-	return time.Now().UnixNano() // want: determinism finding here
+	return time.Now().UnixNano() // want: taint finding here
 }
 
 // Elapsed measures wall time since a reference point.
 func Elapsed(since time.Time) time.Duration {
-	return time.Since(since) // want: determinism finding here
+	return time.Since(since) // want: taint finding here
 }

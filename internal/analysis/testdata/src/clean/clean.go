@@ -2,9 +2,8 @@
 // rule's escape hatch — an annotated order-independent map range with
 // sorted-key float summation, a properly prefixed panic, an exhaustive
 // switch with a panicking default, unit arithmetic that stays within
-// one unit, a stable sort plus a //tilesim:totalorder unstable sort, a
-// Canonical() covering every exported field, and randomness threaded
-// through a seeded *rand.Rand — and must produce zero findings.
+// one unit, a stable sort, and randomness threaded through a seeded
+// *rand.Rand — and must produce zero findings.
 package clean
 
 import (
@@ -66,24 +65,6 @@ func Scale(w Widgets) float64 {
 // SortStable uses the stable sort, the default sanctioned spelling.
 func SortStable(xs []int) {
 	sort.SliceStable(xs, func(i, j int) bool { return xs[i] < xs[j] })
-}
-
-// SortTotal keeps the unstable sort under the total-order annotation.
-func SortTotal(xs []int) {
-	//tilesim:totalorder — distinct ints admit no ties
-	sort.Slice(xs, func(i, j int) bool { return xs[i] < xs[j] })
-}
-
-// Config is a cacheable configuration whose Canonical covers every
-// exported field.
-type Config struct {
-	Name  string
-	Level int
-}
-
-// Canonical encodes both fields.
-func (c Config) Canonical() string {
-	return fmt.Sprintf("name=%s level=%d", c.Name, c.Level)
 }
 
 // Jitter draws from an explicitly seeded generator: methods on a

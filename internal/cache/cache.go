@@ -164,8 +164,6 @@ func (c *Cache) Access(addr uint64) *Line {
 // allocating: the slice aliases the cache's line storage. Callers may
 // mutate line state through it but must not change Block of a valid
 // line.
-//
-//tilesim:noescape the returned slice aliases the line array; victim scans rely on Set never allocating
 func (c *Cache) Set(addr uint64) []Line {
 	return c.setOf(c.BlockOf(addr))
 }

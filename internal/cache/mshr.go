@@ -140,8 +140,6 @@ func (m *MSHR) Lookup(block uint64) *MSHREntry { return m.entries[block] }
 // take pops a pooled entry (or allocates the pool's next one) and
 // resets every transaction field. The waiter slices keep their backing
 // arrays, truncated to empty, so re-parking waiters does not allocate.
-//
-//tilesim:noescape reset writes into the pooled entry in place
 func (m *MSHR) take(block uint64) *MSHREntry {
 	e := m.free
 	if e == nil {

@@ -63,8 +63,10 @@ func TestCanonicalRejectsGeneratorConfigs(t *testing.T) {
 }
 
 // TestCanonicalCoversEveryField guards the encoding against silently
-// dropping a newly added RunConfig field: every current field name must
-// influence the string.
+// dropping a newly added RunConfig field: every current field must
+// influence the string. Fields of module struct types are covered field
+// by field (Compression.Kind, ...), unless the type carries its own
+// Canonical() method and coverage test (fault.Config).
 func TestCanonicalCoversEveryField(t *testing.T) {
 	base := RunConfig{
 		App: "FFT", RefsPerCore: 1000, WarmupRefs: 400, Seed: 1,
@@ -80,20 +82,22 @@ func TestCanonicalCoversEveryField(t *testing.T) {
 	}
 	ref := enc(base)
 	mutate := map[string]func(*RunConfig){
-		"App":               func(c *RunConfig) { c.App = "MP3D" },
-		"RefsPerCore":       func(c *RunConfig) { c.RefsPerCore++ },
-		"WarmupRefs":        func(c *RunConfig) { c.WarmupRefs++ },
-		"Seed":              func(c *RunConfig) { c.Seed++ },
-		"Topology":          func(c *RunConfig) { c.Topology = "torus" },
-		"Tiles":             func(c *RunConfig) { c.Tiles = 64 },
-		"Compression":       func(c *RunConfig) { c.Compression.Entries++ },
-		"Heterogeneous":     func(c *RunConfig) { c.Heterogeneous = true },
-		"Wiring":            func(c *RunConfig) { c.Wiring = "vlbpw" },
-		"ReplyPartitioning": func(c *RunConfig) { c.ReplyPartitioning = true },
-		"RouterLatency":     func(c *RunConfig) { c.RouterLatency = 4 },
-		"LinkCyclesScale":   func(c *RunConfig) { c.LinkCyclesScale = 0.5 },
-		"Faults":            func(c *RunConfig) { c.Faults.BER = 1e-6 },
-		"SeriesInterval":    func(c *RunConfig) { c.SeriesInterval = 1024 },
+		"App":                       func(c *RunConfig) { c.App = "MP3D" },
+		"RefsPerCore":               func(c *RunConfig) { c.RefsPerCore++ },
+		"WarmupRefs":                func(c *RunConfig) { c.WarmupRefs++ },
+		"Seed":                      func(c *RunConfig) { c.Seed++ },
+		"Topology":                  func(c *RunConfig) { c.Topology = "torus" },
+		"Tiles":                     func(c *RunConfig) { c.Tiles = 64 },
+		"Compression.Kind":          func(c *RunConfig) { c.Compression.Kind = "stride" },
+		"Compression.Entries":       func(c *RunConfig) { c.Compression.Entries++ },
+		"Compression.LowOrderBytes": func(c *RunConfig) { c.Compression.LowOrderBytes = 1 },
+		"Heterogeneous":             func(c *RunConfig) { c.Heterogeneous = true },
+		"Wiring":                    func(c *RunConfig) { c.Wiring = "vlbpw" },
+		"ReplyPartitioning":         func(c *RunConfig) { c.ReplyPartitioning = true },
+		"RouterLatency":             func(c *RunConfig) { c.RouterLatency = 4 },
+		"LinkCyclesScale":           func(c *RunConfig) { c.LinkCyclesScale = 0.5 },
+		"Faults":                    func(c *RunConfig) { c.Faults.BER = 1e-6 },
+		"SeriesInterval":            func(c *RunConfig) { c.SeriesInterval = 1024 },
 	}
 	for name, mut := range mutate {
 		cfg := base
@@ -115,14 +119,32 @@ func TestCanonicalCoversEveryField(t *testing.T) {
 	// a field without extending Canonical() (and this test) fails.
 	// Generator is the deliberate exception — it makes a config
 	// uncacheable instead of encoding.
-	typ := reflect.TypeOf(RunConfig{})
-	for i := 0; i < typ.NumField(); i++ {
-		name := typ.Field(i).Name
-		if name == "Generator" {
+	for _, path := range canonicalFieldPaths(reflect.TypeOf(RunConfig{}), "") {
+		if path == "Generator" {
 			continue
 		}
-		if _, ok := mutate[name]; !ok {
-			t.Errorf("RunConfig field %s is not covered: extend Canonical() and this test", name)
+		if _, ok := mutate[path]; !ok {
+			t.Errorf("RunConfig field %s is not covered: extend Canonical() and this test", path)
 		}
 	}
+}
+
+// canonicalFieldPaths lists the dotted field paths of a struct type
+// that a canonical encoding must cover. It recurses into fields whose
+// type is a struct declared in this module, except types with their
+// own Canonical() method: those are one path, covered by their own
+// test.
+func canonicalFieldPaths(typ reflect.Type, prefix string) []string {
+	var paths []string
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		path := prefix + f.Name
+		_, ownCanonical := f.Type.MethodByName("Canonical")
+		if f.Type.Kind() == reflect.Struct && strings.HasPrefix(f.Type.PkgPath(), "tilesim/") && !ownCanonical {
+			paths = append(paths, canonicalFieldPaths(f.Type, path+".")...)
+			continue
+		}
+		paths = append(paths, path)
+	}
+	return paths
 }

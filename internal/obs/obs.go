@@ -9,8 +9,8 @@
 //     closures over counters the components maintain anyway, so nothing
 //     happens on the hot path until Snapshot is called. Tracer hooks are
 //     nil-guarded pointer checks; with no tracer attached a hook costs
-//     one branch (cmd/tilesimvet's obshooks analyzer enforces the
-//     guard-before-call discipline in hot loops).
+//     one branch (Tracer methods are not nil-safe, so an unguarded hook
+//     panics in every untraced run that reaches it).
 //   - Deterministic output. Snapshots serialize with sorted keys and
 //     shortest-round-trip float encoding; trace events are emitted in
 //     simulation order with simulated-clock timestamps only. Two

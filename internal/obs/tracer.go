@@ -24,7 +24,7 @@ const CyclesPerMicrosecond = 4000.0
 // Arg is one numeric key/value attached to a trace event. Args are
 // ordered (not a map) so event serialization is byte-deterministic,
 // and concretely typed so hook calls never box values into interfaces
-// on the hot path (see cmd/tilesimvet's obshooks analyzer).
+// on the hot path (tilesimvet's hotalloc rule flags boxing there).
 type Arg struct {
 	Key string
 	Val float64
@@ -222,8 +222,8 @@ func (t *Tracer) Counter(pid int, name string, cycle uint64, series []Arg) {
 // Annotate attaches one ad-hoc named value as an instant event on the
 // cores process. The value parameter is an interface: this is a
 // cold-path convenience for tests and one-off debugging, and must
-// never be called from a simulation hot loop (the obshooks analyzer
-// flags it — boxing the value allocates).
+// never be called from a simulation hot path (tilesimvet's hotalloc
+// rule flags it — boxing the value allocates).
 func (t *Tracer) Annotate(key string, value any) {
 	t.sep()
 	fmt.Fprintf(t.w,

