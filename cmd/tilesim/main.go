@@ -27,6 +27,15 @@
 //
 // All fault randomness is keyed by -seed: same-seed runs stay
 // byte-identical at any BER.
+//
+// Trace replay (a trace captured by cmd/tracegen):
+//
+//	tilesim -replay mp3d.trace -het -scheme stride -warmup 0
+//
+// -replay drives the cores from the trace's recorded per-core streams
+// instead of -app's generator, so one captured workload can be
+// re-simulated under different interconnect configurations, with every
+// output flag above.
 package main
 
 import (
@@ -44,6 +53,7 @@ import (
 	"tilesim/internal/noc"
 	"tilesim/internal/obs"
 	"tilesim/internal/sweep"
+	"tilesim/internal/trace"
 	"tilesim/internal/workload"
 )
 
@@ -59,6 +69,37 @@ func appendLedger(path string, rec obs.Record) error {
 		return err
 	}
 	return f.Close()
+}
+
+// replayTrace points cfg at the trace in path: the cores run its
+// recorded per-core streams to exhaustion instead of a synthetic
+// generator.
+func replayTrace(cfg *cmp.RunConfig, path string) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	tr, err := trace.Decode(f, cfg.Tiles)
+	f.Close()
+	if err != nil {
+		return err
+	}
+	s := tr.Summarize()
+	if s.Loads+s.Stores == 0 {
+		return fmt.Errorf("trace %s has no memory references", path)
+	}
+	// A core whose stream ends before the warm-up count never reaches
+	// the warm-up barrier, and the run would deadlock.
+	if cfg.WarmupRefs > s.MinCoreRefs {
+		return fmt.Errorf("-warmup %d exceeds the %d references of the trace's shortest core stream",
+			cfg.WarmupRefs, s.MinCoreRefs)
+	}
+	cfg.App = "replay:" + path
+	cfg.Generator = tr
+	// RefsPerCore is only a label under a custom Generator, but
+	// NewSystem validates it.
+	cfg.RefsPerCore = (s.Loads + s.Stores + cfg.Tiles - 1) / cfg.Tiles
+	return nil
 }
 
 // writeSeries writes the epoch series as CSV or JSON, chosen by the
@@ -92,6 +133,7 @@ func main() {
 		seed    = flag.Int64("seed", 1, "workload seed")
 		topo    = flag.String("topo", "mesh", "interconnect topology: "+strings.Join(cmp.TopologyNames, ", "))
 		tiles   = flag.Int("tiles", 16, "tile count (power of two, 4..1024)")
+		replay  = flag.String("replay", "", "replay this trace file instead of running -app")
 
 		metricsOut  = flag.String("metrics-out", "", "write the metrics snapshot as JSON to this file")
 		traceOut    = flag.String("trace-out", "", "write a Chrome trace-event file (Perfetto) to this file")
@@ -138,6 +180,12 @@ func main() {
 			os.Exit(1)
 		}
 		cfg.SeriesInterval = *seriesInterval
+	}
+	if *replay != "" {
+		if err := replayTrace(&cfg, *replay); err != nil {
+			fmt.Fprintln(os.Stderr, "tilesim: replay:", err)
+			os.Exit(1)
+		}
 	}
 	sys, err := cmp.NewSystem(cfg)
 	if err != nil {

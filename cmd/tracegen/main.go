@@ -1,30 +1,18 @@
 // Command tracegen captures a synthetic application's memory-operation
-// stream into the tilesim trace format, summarizes an existing trace,
-// or replays one through the full simulator.
+// stream into the tilesim trace format, or summarizes an existing trace.
 //
 //	tracegen -app MP3D -refs 5000 > mp3d.trace
 //	tracegen -summarize mp3d.trace
-//	tracegen -replay mp3d.trace -het -scheme stride
-//	tracegen -replay mp3d.trace -metrics-out m.json -trace-out t.json
 //
-// Replay drives the 16 cores from the recorded per-core op streams
-// instead of a synthetic generator, so one captured workload can be
-// re-simulated under different interconnect configurations (and, with
-// the observability flags, inspected in Perfetto exactly like a
-// cmd/tilesim run; see DESIGN.md §10).
+// `tilesim -replay mp3d.trace` runs a captured trace through the full
+// simulator.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
-	"time"
 
-	"tilesim/internal/cmp"
-	"tilesim/internal/compress"
-	"tilesim/internal/obs"
-	"tilesim/internal/sweep"
 	"tilesim/internal/trace"
 	"tilesim/internal/workload"
 )
@@ -35,21 +23,6 @@ func main() {
 		refs      = flag.Int("refs", 2000, "references per core")
 		seed      = flag.Int64("seed", 1, "workload seed")
 		summarize = flag.String("summarize", "", "summarize an existing trace file instead of generating")
-
-		replay  = flag.String("replay", "", "replay an existing trace file through the simulator")
-		scheme  = flag.String("scheme", "none", "replay: compression scheme (none, dbrc, stride, perfect)")
-		entries = flag.Int("entries", 4, "replay: DBRC compression-cache entries")
-		lo      = flag.Int("lo", 2, "replay: low-order bytes (1 or 2)")
-		het     = flag.Bool("het", false, "replay: use the heterogeneous VL+B interconnect")
-		warmup  = flag.Int("warmup", 0, "replay: warmup references per core before measurement")
-
-		metricsOut  = flag.String("metrics-out", "", "replay: write the metrics snapshot as JSON to this file")
-		traceOut    = flag.String("trace-out", "", "replay: write a Chrome trace-event file (Perfetto) to this file")
-		traceSample = flag.Int("trace-sample", 1, "replay: trace every Nth message lifecycle")
-
-		seriesOut      = flag.String("series-out", "", "replay: write the epoch time series to this file (.csv or .json by extension)")
-		seriesInterval = flag.Int("series-interval", 1024, "replay: epoch series sampling interval in cycles (with -series-out)")
-		ledgerPath     = flag.String("ledger", "", "replay: append a run-ledger JSONL record to this file")
 	)
 	flag.Parse()
 
@@ -73,28 +46,6 @@ func main() {
 		return
 	}
 
-	if *replay != "" {
-		cfg := cmp.RunConfig{
-			Compression:   compress.Spec{Kind: *scheme, Entries: *entries, LowOrderBytes: *lo},
-			Heterogeneous: *het,
-			WarmupRefs:    *warmup,
-		}
-		if *seriesOut != "" {
-			if *seriesInterval <= 0 {
-				fatal(fmt.Errorf("-series-out needs a positive -series-interval"))
-			}
-			cfg.SeriesInterval = *seriesInterval
-		}
-		runReplay(*replay, cfg, replayOutputs{
-			metricsOut:  *metricsOut,
-			traceOut:    *traceOut,
-			traceSample: *traceSample,
-			seriesOut:   *seriesOut,
-			ledgerPath:  *ledgerPath,
-		})
-		return
-	}
-
 	gen, err := workload.NewNamedApp(*app, 16, *refs, *seed)
 	if err != nil {
 		fatal(err)
@@ -103,132 +54,6 @@ func main() {
 	if err := tr.Encode(os.Stdout); err != nil {
 		fatal(err)
 	}
-}
-
-// replayOutputs bundles the observability sinks of one replay run.
-type replayOutputs struct {
-	metricsOut  string
-	traceOut    string
-	traceSample int
-	seriesOut   string
-	ledgerPath  string
-}
-
-// runReplay decodes path and drives the simulator from the recorded
-// streams. cfg carries the interconnect knobs; App, RefsPerCore and
-// Generator are filled in here from the trace itself.
-func runReplay(path string, cfg cmp.RunConfig, outs replayOutputs) {
-	f, err := os.Open(path)
-	if err != nil {
-		fatal(err)
-	}
-	tr, err := trace.Decode(f, 16)
-	if err != nil {
-		fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		fatal(err)
-	}
-	s := tr.Summarize()
-	if s.Loads+s.Stores == 0 {
-		fatal(fmt.Errorf("trace %s has no memory references", path))
-	}
-
-	cfg.App = "replay:" + path
-	cfg.Generator = tr
-	// RefsPerCore is only a label under a custom Generator (the cores
-	// run the streams to exhaustion), but NewSystem validates it.
-	cfg.RefsPerCore = (s.Loads + s.Stores + 15) / 16
-
-	sys, err := cmp.NewSystem(cfg)
-	if err != nil {
-		fatal(err)
-	}
-	var traceFile *os.File
-	var tracer *obs.Tracer
-	if outs.traceOut != "" {
-		traceFile, err = os.Create(outs.traceOut)
-		if err != nil {
-			fatal(err)
-		}
-		tracer = obs.NewTracer(traceFile, outs.traceSample)
-		sys.SetTracer(tracer)
-	}
-	wallStart := time.Now()
-	hostStart := obs.ReadHostStats()
-	r, err := sys.Run()
-	if err != nil {
-		fatal(err)
-	}
-	if outs.ledgerPath != "" {
-		// Replay configs carry a Generator and are uncacheable, so the
-		// record has no config hash; the digest still identifies the
-		// deterministic result.
-		jr := sweep.JobResult{Config: cfg, Result: r}
-		jr.Host = obs.ReadHostStats().Sub(hostStart)
-		jr.Host.WallSeconds = time.Since(wallStart).Seconds()
-		l, lf, err := obs.OpenLedger(outs.ledgerPath)
-		if err != nil {
-			fatal(err)
-		}
-		if err := l.Append(sweep.LedgerRecord(jr, "")); err == nil {
-			err = lf.Close()
-		}
-		if err != nil {
-			fatal(err)
-		}
-	}
-	if tracer != nil {
-		if err := tracer.Close(); err != nil {
-			fatal(err)
-		}
-		if err := traceFile.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "tracegen: wrote trace to %s (load at https://ui.perfetto.dev)\n", outs.traceOut)
-	}
-	if outs.seriesOut != "" {
-		sf, err := os.Create(outs.seriesOut)
-		if err != nil {
-			fatal(err)
-		}
-		if strings.HasSuffix(outs.seriesOut, ".json") {
-			err = r.Series.WriteJSON(sf)
-		} else {
-			err = r.Series.WriteCSV(sf)
-		}
-		if err == nil {
-			err = sf.Close()
-		}
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "tracegen: wrote %d series samples to %s\n", r.Series.Rows(), outs.seriesOut)
-	}
-	if outs.metricsOut != "" {
-		mf, err := os.Create(outs.metricsOut)
-		if err != nil {
-			fatal(err)
-		}
-		if err := r.Metrics.WriteJSON(mf); err == nil {
-			err = mf.Close()
-		}
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "tracegen: wrote %d metrics to %s\n", len(r.Metrics), outs.metricsOut)
-	}
-
-	fmt.Printf("replayed            %s (%d cores, %d loads, %d stores)\n", path, s.Cores, s.Loads, s.Stores)
-	fmt.Printf("configuration       %s\n", r.Config)
-	fmt.Printf("execution time      %d cycles\n", r.ExecCycles)
-	fmt.Printf("L1 misses           %d, mean latency %.0f cycles\n", r.L1Misses, r.MeanMissLatency)
-	fmt.Printf("network messages    %d remote + %d tile-local\n", r.Net.TotalMessages(), r.LocalMessages)
-	fmt.Printf("request latency     p50 %.0f / p99 %.0f cycles\n", r.RequestLatencyP50, r.RequestLatencyP99)
-	if cfg.Compression.Kind != "none" {
-		fmt.Printf("compression         coverage %.1f%%\n", 100*r.Coverage)
-	}
-	fmt.Printf("interconnect energy %.3g J\n", r.InterconnectJ)
 }
 
 func fatal(err error) {

@@ -39,7 +39,8 @@
 //	internal/analysis   tilesimvet static-analysis rules      DESIGN.md §8, §12, §17
 //	internal/pooldbg    pooled-object runtime sanitizer       DESIGN.md §17
 //	                    (-tags pooldebug)
-//	cmd/tilesim         single-run CLI
+//	cmd/tilesim         single-run CLI, also replays a trace
+//	                    (-replay)
 //	cmd/tables          Tables 1-3 (analytic, no simulation)
 //	cmd/figures         Figures 2, 5, 6, 7 + ablations + the
 //	                    topology scale study (-scale) via the

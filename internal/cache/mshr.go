@@ -1,6 +1,10 @@
 package cache
 
-import "fmt"
+import (
+	"fmt"
+
+	"tilesim/internal/pooldbg"
+)
 
 // WaiterKind selects how a continuation parked on an MSHR entry resumes
 // when the entry's transaction completes. The kinds encode the closure
@@ -120,6 +124,12 @@ type MSHREntry struct {
 	next *MSHREntry
 }
 
+// CheckAlive probes a generation-snapshot guard: a retention site
+// records Gen when it stores the entry and probes CheckAlive with that
+// snapshot before dereferencing. Free in the default build; under -tags
+// pooldebug a stale snapshot panics with stack traces.
+func (e *MSHREntry) CheckAlive(gen uint64) { pooldbg.CheckAlive(e, gen, e.Gen) }
+
 // NewMSHR builds an MSHR file with the given capacity.
 func NewMSHR(capacity int) *MSHR {
 	if capacity <= 0 {
@@ -152,7 +162,7 @@ func (m *MSHR) take(block uint64) *MSHREntry {
 	gen := e.Gen
 	ws, pws := e.Waiters[:0], e.PartialWaiters[:0]
 	*e = MSHREntry{Block: block, Gen: gen, Waiters: ws, PartialWaiters: pws}
-	entryAcquired(e)
+	pooldbg.Acquire(e, e.Gen)
 	return e
 }
 
@@ -207,7 +217,7 @@ func (m *MSHR) Free(block uint64, scratch []Waiter) []Waiter {
 	e.Waiters = e.Waiters[:0]
 	clear(e.PartialWaiters)
 	e.PartialWaiters = e.PartialWaiters[:0]
-	entryReleased(e)
+	pooldbg.Release(e, e.Gen)
 	e.Gen++ // poison: any retained pointer now has a mismatched Gen
 	e.next = m.free
 	m.free = e

@@ -32,7 +32,10 @@ import "fmt"
 // core; the old uint32 mask shifted to zero for destinations >= 32, so
 // no address sent to tile 32 or above ever compressed. Runs with at
 // most 32 tiles, and every non-DBRC run, are unchanged.
-const SimVersion = "tilesim-sim-v7"
+// v8: Result.Series carries every registry counter, ratio, utilization
+// and gauge (the FFT 16-tile series grows from 226 to 255 columns);
+// every earlier column and all metrics are unchanged.
+const SimVersion = "tilesim-sim-v8"
 
 // Canonical returns a stable one-line encoding of every
 // simulation-relevant field of the configuration. Two configurations

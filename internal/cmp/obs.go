@@ -18,7 +18,7 @@ const traceCounterInterval = 1024
 // message manager's compression pipeline (DESIGN.md §10).
 func (s *System) Registry() *obs.Registry {
 	if s.registry == nil {
-		r := obs.NewRegistry()
+		r := obs.NewRegistry(s.K)
 		r.Counter("sim.events", s.K.Processed)
 		r.Gauge("sim.cycles", func() float64 { return float64(s.K.Now()) })
 		s.Net.RegisterMetrics(r)
@@ -38,20 +38,16 @@ func (s *System) SetTracer(t *obs.Tracer) {
 	s.Proto.SetTracer(t)
 }
 
-// startSeries assembles the epoch series over every component's
-// time-resolved probes (DESIGN.md §15) and schedules it on the
-// kernel. Called from Run when SeriesInterval is positive; the sampler
-// stops itself when the event queue drains, and — like every obs hook
-// — only reads state, so attaching it never changes a simulated
-// outcome. Run calls Finish on the returned Series once the execution
-// window is known, flushing the final partial epoch.
+// startSeries builds the epoch series over the system's registry
+// (DESIGN.md §15) and schedules it on the kernel. Called from Run when
+// SeriesInterval is positive; the sampler stops itself when the event
+// queue drains, and — like every obs hook — only reads state, so
+// attaching it never changes a simulated outcome. Run calls Finish on
+// the returned Series once the execution window is known, flushing the
+// final partial epoch.
 func (s *System) startSeries() (*obs.Series, *obs.SeriesData) {
-	se := obs.NewSeries(sim.Time(s.cfg.SeriesInterval))
-	se.Delta("sim.events", s.K.Processed)
-	s.Net.RegisterSeries(se)
-	s.Proto.RegisterSeries(se)
-	s.Mgr.RegisterSeries(se)
-	return se, se.Start(s.K)
+	se := obs.NewSeries(s.Registry(), sim.Time(s.cfg.SeriesInterval))
+	return se, se.Start()
 }
 
 // startCounterPoller samples the occupancy time series into the trace

@@ -2,11 +2,13 @@ package cmp
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
 	"tilesim/internal/compress"
 	"tilesim/internal/fault"
+	"tilesim/internal/stats"
 )
 
 // seriesConfigs are the cross-product the determinism tests run: a
@@ -187,38 +189,26 @@ func TestSeriesFinishClosesAtRunEnd(t *testing.T) {
 	}
 }
 
-// TestSeriesColumnsMatchConfig spot-checks that the assembled series
-// carries the families the config implies: plane and coverage columns
-// always, fault columns only under injection.
+// TestSeriesColumnsMatchConfig checks that the series is a view of the
+// registry: its columns are exactly the counters and gauges (ratios and
+// utilizations included) of the run's metrics snapshot, in name order.
+// Means and histograms are not sampled.
 func TestSeriesColumnsMatchConfig(t *testing.T) {
-	cfgs := seriesConfigs()
-	has := func(d []string, name string) bool {
-		for _, c := range d {
-			if c == name {
-				return true
+	for name, cfg := range seriesConfigs() {
+		t.Run(name, func(t *testing.T) {
+			r, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		return false
-	}
-	free, err := Run(cfgs["mesh-faultfree"])
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"sim.events", "mgr.coverage", "net.plane.VL.flits", "net.inflight", "coh.mshr.live", "net.link.00->01.B.flits", "net.link.00->01.B.util"} {
-		if !has(free.Series.Columns, want) {
-			t.Errorf("fault-free series missing column %s", want)
-		}
-	}
-	if has(free.Series.Columns, "net.fault.retries") {
-		t.Error("fault-free series carries fault columns")
-	}
-	faulty, err := Run(cfgs["torus-highber"])
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"net.fault.retries", "net.fault.crc_errors", "mgr.failover_msgs"} {
-		if !has(faulty.Series.Columns, want) {
-			t.Errorf("high-BER series missing column %s", want)
-		}
+			var want []string
+			for _, m := range stats.SortedKeys(r.Metrics) {
+				if typ := r.Metrics[m].Type; typ == "counter" || typ == "gauge" {
+					want = append(want, m)
+				}
+			}
+			if !slices.Equal(r.Series.Columns, want) {
+				t.Errorf("series columns differ from the registry's sampled metrics:\n  series:   %v\n  registry: %v", r.Series.Columns, want)
+			}
+		})
 	}
 }

@@ -35,6 +35,7 @@ import (
 
 	"tilesim/internal/noc"
 	"tilesim/internal/obs"
+	"tilesim/internal/pooldbg"
 	"tilesim/internal/sim"
 )
 
@@ -136,7 +137,7 @@ func (j *sendJob) run() {
 	p, m := j.p, j.m
 	m.CheckAlive(j.mGen)
 	j.m = nil
-	jobReleased(j)
+	pooldbg.Release(j, 0)
 	j.next = p.freeJobs
 	p.freeJobs = j
 	p.send(m)
@@ -156,7 +157,7 @@ func (p *Protocol) sendLater(m *noc.Message, delay sim.Time) {
 		p.freeJobs = j.next
 		j.next = nil
 	}
-	jobAcquired(j)
+	pooldbg.Acquire(j, 0)
 	j.mGen = m.Generation()
 	j.m = m
 	p.k.Schedule(delay, j.fn)

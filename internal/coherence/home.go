@@ -7,6 +7,7 @@ import (
 
 	"tilesim/internal/cache"
 	"tilesim/internal/noc"
+	"tilesim/internal/pooldbg"
 	"tilesim/internal/sim"
 	"tilesim/internal/stats"
 )
@@ -145,7 +146,7 @@ func (h *HomeController) entry(block uint64) *dirEntry {
 	}
 	q := e.queue[:0]
 	*e = dirEntry{owner: -1, queue: q}
-	dirEntryAcquired(e)
+	pooldbg.Acquire(e, 0)
 	h.dir[block] = e
 	return e
 }
@@ -157,7 +158,7 @@ func (h *HomeController) entry(block uint64) *dirEntry {
 func (h *HomeController) release(block uint64, e *dirEntry) {
 	if e.empty() {
 		delete(h.dir, block)
-		dirEntryReleased(e)
+		pooldbg.Release(e, 0)
 		e.next = h.freeEntries
 		h.freeEntries = e
 	}

@@ -73,26 +73,3 @@ func (p *Protocol) RegisterMetrics(r *obs.Registry) {
 	}
 	r.Mean("coh.mshr.residency", residency...)
 }
-
-// RegisterSeries installs the protocol's time-resolved probes in an
-// epoch series (DESIGN.md §15): chip-wide demand/miss deltas per
-// window plus the instantaneous MSHR residency and outstanding
-// transactions at each window boundary. Naming mirrors RegisterMetrics.
-func (p *Protocol) RegisterSeries(s *obs.Series) {
-	sum := func(pick func(*L1Controller) *stats.Counter) func() uint64 {
-		return func() uint64 {
-			var t uint64
-			for _, l := range p.l1s {
-				t += pick(l).Value()
-			}
-			return t
-		}
-	}
-	s.Delta("coh.l1.loads", sum(func(l *L1Controller) *stats.Counter { return &l.Loads }))
-	s.Delta("coh.l1.stores", sum(func(l *L1Controller) *stats.Counter { return &l.Stores }))
-	s.Delta("coh.l1.load_misses", sum(func(l *L1Controller) *stats.Counter { return &l.LoadMisses }))
-	s.Delta("coh.l1.store_misses", sum(func(l *L1Controller) *stats.Counter { return &l.StoreMisses }))
-	s.Delta("coh.l1.writebacks", sum(func(l *L1Controller) *stats.Counter { return &l.Writebacks }))
-	s.Level("coh.mshr.live", func() float64 { return float64(p.MSHRLive()) })
-	s.Level("coh.outstanding", func() float64 { return float64(p.OutstandingTransactions()) })
-}

@@ -36,6 +36,7 @@ import (
 	"tilesim/internal/energy"
 	"tilesim/internal/mesh"
 	"tilesim/internal/noc"
+	"tilesim/internal/pooldbg"
 	"tilesim/internal/sim"
 	"tilesim/internal/stats"
 )
@@ -138,7 +139,7 @@ func (j *localJob) run() {
 	mgr, msg := j.mgr, j.msg
 	msg.CheckAlive(j.msgGen)
 	j.msg = nil
-	ljobReleased(j)
+	pooldbg.Release(j, 0)
 	j.next = mgr.freeJobs
 	mgr.freeJobs = j
 	mgr.deliver(msg)
@@ -177,7 +178,7 @@ func (m *Manager) Send(msg *noc.Message) {
 			m.freeJobs = j.next
 			j.next = nil
 		}
-		ljobAcquired(j)
+		pooldbg.Acquire(j, 0)
 		j.msgGen = msg.Generation()
 		j.msg = msg
 		// LocalDelay is constant, so jobs fire in schedule order and the
@@ -249,11 +250,4 @@ func (m *Manager) Coverage() float64 {
 func (m *Manager) VLFraction() float64 {
 	total := m.VLMessages.Value() + m.BMessages.Value() + m.PWMessages.Value()
 	return stats.Ratio(float64(m.VLMessages.Value()), float64(total))
-}
-
-// PWFraction returns the fraction of remote messages that rode the
-// power-optimized wires.
-func (m *Manager) PWFraction() float64 {
-	total := m.VLMessages.Value() + m.BMessages.Value() + m.PWMessages.Value()
-	return stats.Ratio(float64(m.PWMessages.Value()), float64(total))
 }

@@ -18,25 +18,8 @@ func (m *Manager) RegisterMetrics(r *obs.Registry) {
 	if m.net.FaultsEnabled() {
 		r.Counter("mgr.failover_msgs", m.FailoverMsgs.Value)
 	}
-	r.Gauge("mgr.coverage", m.Coverage)
-	r.Gauge("mgr.vl_fraction", m.VLFraction)
-	r.Gauge("mgr.pw_fraction", m.PWFraction)
-}
-
-// RegisterSeries installs the manager's time-resolved probes in an
-// epoch series (DESIGN.md §15): per-window plane-steering deltas and
-// the windowed compression coverage (compressed/compressible per
-// window — the per-phase compression-ratio drift end-of-run aggregates
-// flatten away). The failover delta registers only under fault
-// injection, mirroring RegisterMetrics.
-func (m *Manager) RegisterSeries(s *obs.Series) {
-	s.Delta("mgr.compressed", m.Compressed.Value)
-	s.Delta("mgr.vl_messages", m.VLMessages.Value)
-	s.Delta("mgr.b_messages", m.BMessages.Value)
-	s.Delta("mgr.pw_messages", m.PWMessages.Value)
-	s.Delta("mgr.local_messages", m.LocalMsgs.Value)
-	s.DeltaRatio("mgr.coverage", m.Compressed.Value, m.Compressible.Value)
-	if m.net.FaultsEnabled() {
-		s.Delta("mgr.failover_msgs", m.FailoverMsgs.Value)
-	}
+	r.Ratio("mgr.coverage", m.Compressed.Value, m.Compressible.Value)
+	remote := func() uint64 { return m.VLMessages.Value() + m.BMessages.Value() + m.PWMessages.Value() }
+	r.Ratio("mgr.vl_fraction", m.VLMessages.Value, remote)
+	r.Ratio("mgr.pw_fraction", m.PWMessages.Value, remote)
 }

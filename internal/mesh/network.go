@@ -9,6 +9,7 @@ import (
 	"tilesim/internal/fault"
 	"tilesim/internal/noc"
 	"tilesim/internal/obs"
+	"tilesim/internal/pooldbg"
 	"tilesim/internal/sim"
 	"tilesim/internal/stats"
 	"tilesim/internal/wire"
@@ -508,7 +509,7 @@ func (n *Network) newTransit(m *noc.Message, route []int32, srcNode int, injecte
 		n.free = t.next
 		t.next = nil
 	}
-	transitAcquired(t)
+	pooldbg.Acquire(t, 0)
 	t.mGen = m.Generation()
 	t.m, t.route, t.injected, t.waited = m, route, injected, 0
 	t.at, t.idx, t.flits, t.plane = srcNode, 0, flits, plane
@@ -521,7 +522,7 @@ func (n *Network) newTransit(m *noc.Message, route []int32, srcNode int, injecte
 //
 //tilesim:release
 func (n *Network) recycle(t *transit) {
-	transitReleased(t)
+	pooldbg.Release(t, 0)
 	t.m, t.route = nil, nil
 	t.next = n.free
 	n.free = t

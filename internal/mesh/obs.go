@@ -7,7 +7,6 @@ import (
 	"tilesim/internal/noc"
 	"tilesim/internal/obs"
 	"tilesim/internal/sim"
-	"tilesim/internal/stats"
 )
 
 // LatencyBreakdown decomposes delivered-message latency into the
@@ -193,19 +192,15 @@ func (n *Network) RegisterMetrics(r *obs.Registry) {
 		return
 	}
 	for li, l := range n.links {
+		link := fmt.Sprintf("net.link.%02d->%02d.", l.From, l.To)
 		for p := Plane(0); p < numPlanes; p++ {
 			if !n.HasPlane(p) {
 				continue
 			}
-			ch := n.channel(int32(li), p)
-			name := fmt.Sprintf("net.link.%02d->%02d.%s", l.From, l.To, p)
-			r.Counter(name+".flits", ch.flits.Value)
-			// Utilization: fraction of elapsed cycles the channel
-			// carried flits (one cycle each), read against the clock at
-			// snapshot time.
-			r.Gauge(name+".util", func() float64 {
-				return stats.Ratio(float64(ch.flits.Value()), float64(n.k.Now()))
-			})
+			flits := n.channel(int32(li), p).flits.Value
+			r.Counter(link+p.String()+".flits", flits)
+			// Utilization: the channel carries one flit per busy cycle.
+			r.Utilization(link+p.String()+".util", flits)
 		}
 	}
 }
@@ -215,51 +210,3 @@ func (n *Network) RegisterMetrics(r *obs.Registry) {
 // 4096 keeps every mesh/cmesh/torus up to 1024 tiles fully instrumented
 // (a 32x32 mesh has 3968 directed links).
 const perLinkMetricLinksCap = 4096
-
-// RegisterSeries installs the network's time-resolved probes in an
-// epoch series (DESIGN.md §15): per-class delivered-message and
-// queue-cycle deltas (congestion onset), per-plane flit deltas,
-// per-link flit deltas and duty-cycle utilization, the in-flight level,
-// and — only with a fault injector — the retry/CRC activity that drives
-// retry storms. Naming mirrors RegisterMetrics so a series column and
-// the end-of-run snapshot key for the same quantity match; the same
-// perLinkMetricLinksCap bounds the per-link family.
-func (n *Network) RegisterSeries(s *obs.Series) {
-	for c := noc.Class(0); c < noc.NumClasses; c++ {
-		slug := classSlug(c)
-		s.Delta("net.msgs."+slug, n.msgs[c].Value)
-		bd := &n.breakdown[c]
-		s.Delta("net.breakdown."+slug+".total_cycles", func() uint64 { return bd.Total })
-		s.Delta("net.breakdown."+slug+".queue_cycles", func() uint64 { return bd.Queue })
-		if n.inj != nil {
-			s.Delta("net.breakdown."+slug+".retry_cycles", func() uint64 { return bd.Retry })
-		}
-	}
-	if n.inj != nil {
-		s.Delta("net.fault.crc_errors", n.crcErrors.Value)
-		s.Delta("net.fault.retries", n.retries.Value)
-		s.Delta("net.fault.dropped", n.dropped.Value)
-	}
-	for p := Plane(0); p < numPlanes; p++ {
-		if !n.HasPlane(p) {
-			continue
-		}
-		s.Delta("net.plane."+p.String()+".msgs", n.byPlane[p].Value)
-		s.Delta("net.plane."+p.String()+".flits", n.planeFlits[p].Value)
-	}
-	s.Level("net.inflight", func() float64 { return float64(n.inFlight) })
-	if len(n.links) > perLinkMetricLinksCap {
-		return
-	}
-	for li, l := range n.links {
-		for p := Plane(0); p < numPlanes; p++ {
-			if !n.HasPlane(p) {
-				continue
-			}
-			ch := n.channel(int32(li), p)
-			name := fmt.Sprintf("net.link.%02d->%02d.%s", l.From, l.To, p)
-			s.Delta(name+".flits", ch.flits.Value)
-			s.Utilization(name+".util", ch.flits.Value)
-		}
-	}
-}

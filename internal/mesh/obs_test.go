@@ -172,7 +172,7 @@ func TestRegisterMetricsNames(t *testing.T) {
 	k := sim.NewKernel()
 	n := New(k, DefaultBaseline(), nil)
 	sink(n)
-	r := obs.NewRegistry()
+	r := obs.NewRegistry(k)
 	n.RegisterMetrics(r)
 
 	// 4x4 mesh: 48 directed links, baseline has 1 plane -> 48 link

@@ -5,7 +5,11 @@
 // (3-byte control header, 8-byte address, 64-byte cache line).
 package noc
 
-import "fmt"
+import (
+	"fmt"
+
+	"tilesim/internal/pooldbg"
+)
 
 // Type enumerates every message of the L1 coherence protocol (Figure 4).
 type Type int
@@ -238,6 +242,13 @@ type Message struct {
 // recorded when the message was obtained detects aliasing.
 func (m *Message) Generation() uint64 { return m.gen }
 
+// CheckAlive probes a generation-snapshot guard: a retention site
+// records Generation() when it stores the header and probes CheckAlive
+// with that snapshot before dereferencing. Free in the default build;
+// under -tags pooldebug a stale snapshot panics with the offending
+// lifetime's stack traces.
+func (m *Message) CheckAlive(gen uint64) { pooldbg.CheckAlive(m, gen, m.gen) }
+
 // Pool recycles Message headers. Get returns a zeroed header (allocating
 // one only when the freelist is empty) and Put resets and recycles it,
 // bumping its generation. The protocol releases every header at the
@@ -261,7 +272,7 @@ func (p *Pool) Get() *Message {
 		p.free = m.next
 		m.next = nil
 	}
-	poolAcquired(m)
+	pooldbg.Acquire(m, m.gen)
 	return m
 }
 
@@ -270,7 +281,7 @@ func (p *Pool) Get() *Message {
 //
 //tilesim:release
 func (p *Pool) Put(m *Message) {
-	poolReleased(m)
+	pooldbg.Release(m, m.gen)
 	gen := m.gen
 	*m = Message{gen: gen + 1}
 	m.next = p.free

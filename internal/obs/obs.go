@@ -23,12 +23,15 @@ package obs
 import (
 	"bufio"
 	"bytes"
-	"encoding/json"
 	"fmt"
+	"hash/maphash"
 	"io"
 	"math"
+	"slices"
 	"strconv"
+	"strings"
 
+	"tilesim/internal/sim"
 	"tilesim/internal/stats"
 )
 
@@ -113,86 +116,182 @@ func (m Metric) field(name string) float64 {
 	panic(fmt.Sprintf("obs: unknown metric field %q", name))
 }
 
-// UnmarshalJSON decodes both the explicit encoding MarshalJSON writes
-// and the legacy omitempty encoding (absent fields zero), so old sweep
-// cache entries keep decoding.
-func (m *Metric) UnmarshalJSON(data []byte) error {
-	type plain Metric // no methods: plain decode, no recursion
-	var p plain
-	if err := json.Unmarshal(data, &p); err != nil {
-		return err
-	}
-	*m = Metric(p)
-	return nil
-}
-
 // Snapshot is a point-in-time reading of every registered metric,
 // keyed by hierarchical metric name (e.g. "net.link.00->01.B.flits").
 type Snapshot map[string]Metric
 
-// source produces one metric reading. Boxing happens once at
-// registration (cold path), never per sample.
-type source func() Metric
+// kind is what a registry entry measures. It decides how Snapshot
+// reports the entry and how a Series samples it.
+type kind uint8
 
-// Registry names and snapshots the metrics of one simulated system.
+const (
+	kindCounter     kind = iota // monotone count
+	kindRatio                   // num/den of two monotone counts
+	kindUtilization             // monotone busy cycles over elapsed cycles
+	kindGauge                   // instantaneous level
+	kindMean                    // distribution, not sampled by a Series
+	kindHistogram               // distribution, not sampled by a Series
+)
+
+// entry is one registered metric: its kind and what it reads. Counters,
+// ratios and utilizations, the bulk of a registry, read only num and
+// den; the rarer kinds keep their source in src, which holds a gauge's
+// func() float64, a mean's []*stats.Mean or a *stats.Histogram.
+type entry struct {
+	name     string
+	kind     kind
+	num, den func() uint64 // counter value; ratio num and den; busy cycles
+	src      any
+}
+
+// entryBlock is how many entries one storage block holds. Entries live
+// in fixed-capacity blocks so registration never copies earlier ones.
+const entryBlock = 64
+
+// Registry names and snapshots the metrics of one simulated system, and
+// is the catalog an epoch Series samples (DESIGN.md §10, §15.1).
 // Registration is cold-path; components keep updating their own
 // stats.Counter/Mean/Histogram values and the registry reads them out
 // on Snapshot. The zero value is not ready; use NewRegistry.
 type Registry struct {
-	sources map[string]source
+	clock  *sim.Kernel
+	blocks [][]entry // entries in registration order
+	n      int       // entries registered
+	// seen holds a hash of every registered name, so registration finds
+	// duplicates without a map keyed by the names themselves (half the
+	// memory at 18k metrics).
+	seen map[uint64]struct{}
+	seed maphash.Seed
 }
 
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{sources: make(map[string]source)}
+// NewRegistry returns an empty registry whose utilizations divide by
+// clock's current cycle. clock may be nil if none is registered.
+func NewRegistry(clock *sim.Kernel) *Registry {
+	return &Registry{clock: clock, seen: make(map[uint64]struct{}), seed: maphash.MakeSeed()}
 }
 
-// register installs a source under a unique name.
-func (r *Registry) register(name string, s source) {
-	if _, dup := r.sources[name]; dup {
-		panic(fmt.Sprintf("obs: duplicate metric name %q", name))
+// add installs an entry under a unique name.
+func (r *Registry) add(e entry) {
+	h := maphash.String(r.seed, e.name)
+	if _, hit := r.seen[h]; hit && r.has(e.name) {
+		panic(fmt.Sprintf("obs: duplicate metric name %q", e.name))
 	}
-	r.sources[name] = s
+	r.seen[h] = struct{}{}
+	if n := len(r.blocks); n == 0 || len(r.blocks[n-1]) == entryBlock {
+		r.blocks = append(r.blocks, make([]entry, 0, entryBlock))
+	}
+	b := &r.blocks[len(r.blocks)-1]
+	*b = append(*b, e)
+	r.n++
+}
+
+// has reports whether name is registered.
+func (r *Registry) has(name string) bool {
+	for _, b := range r.blocks {
+		for i := range b {
+			if b[i].name == name {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // Counter registers a monotone count read through fn (typically a
 // stats.Counter.Value method value).
 func (r *Registry) Counter(name string, fn func() uint64) {
-	r.register(name, func() Metric {
-		return Metric{Type: "counter", Count: fn()}
-	})
+	r.add(entry{name: name, kind: kindCounter, num: fn})
+}
+
+// Ratio registers num/den (0 while den is 0) of two monotone counts,
+// reported as a gauge.
+func (r *Registry) Ratio(name string, num, den func() uint64) {
+	r.add(entry{name: name, kind: kindRatio, num: num, den: den})
+}
+
+// Utilization registers a monotone busy-cycle count, reported as a
+// gauge: busy cycles over the clock's current cycle.
+func (r *Registry) Utilization(name string, busy func() uint64) {
+	if r.clock == nil {
+		panic(fmt.Sprintf("obs: utilization %q needs a registry clock", name))
+	}
+	r.add(entry{name: name, kind: kindUtilization, num: busy})
 }
 
 // Gauge registers an instantaneous value read through fn.
 func (r *Registry) Gauge(name string, fn func() float64) {
-	r.register(name, func() Metric {
-		return Metric{Type: "gauge", Value: fn()}
-	})
+	r.add(entry{name: name, kind: kindGauge, src: fn})
 }
 
 // Mean registers a stats.Mean distribution: the merge, at read time, of
 // every given accumulator (one for a single stream, the per-tile
 // accumulators for a chip-wide one).
 func (r *Registry) Mean(name string, ms ...*stats.Mean) {
-	r.register(name, func() Metric {
-		var t stats.Mean
-		for _, m := range ms {
-			t.Merge(m)
-		}
-		return Metric{
-			Type:  "mean",
-			Count: t.N(),
-			Mean:  t.Value(),
-			Min:   float64(t.Min()),
-			Max:   float64(t.Max()),
-		}
-	})
+	r.add(entry{name: name, kind: kindMean, src: ms})
 }
 
 // Histogram registers a stats.Histogram distribution with percentile
 // summaries.
 func (r *Registry) Histogram(name string, h *stats.Histogram) {
-	r.register(name, func() Metric {
+	r.add(entry{name: name, kind: kindHistogram, src: h})
+}
+
+// Len returns the number of registered metrics.
+func (r *Registry) Len() int { return r.n }
+
+// sorted returns every entry in name order.
+func (r *Registry) sorted() []*entry {
+	es := make([]*entry, 0, r.n)
+	for _, b := range r.blocks {
+		for i := range b {
+			es = append(es, &b[i])
+		}
+	}
+	slices.SortFunc(es, func(a, b *entry) int { return strings.Compare(a.name, b.name) })
+	return es
+}
+
+// Names returns every registered metric name in sorted order.
+func (r *Registry) Names() []string {
+	es := r.sorted()
+	names := make([]string, len(es))
+	for i, e := range es {
+		names[i] = e.name
+	}
+	return names
+}
+
+// Snapshot reads every entry. The result is a plain map safe to
+// marshal, compare, and attach to cached results.
+func (r *Registry) Snapshot() Snapshot {
+	out := make(Snapshot, r.n)
+	for _, b := range r.blocks {
+		for i := range b {
+			out[b[i].name] = r.read(&b[i])
+		}
+	}
+	return out
+}
+
+// read returns an entry's current reading.
+func (r *Registry) read(e *entry) Metric {
+	switch e.kind {
+	case kindCounter:
+		return Metric{Type: "counter", Count: e.num()}
+	case kindRatio:
+		return Metric{Type: "gauge", Value: stats.Ratio(float64(e.num()), float64(e.den()))}
+	case kindUtilization:
+		return Metric{Type: "gauge", Value: stats.Ratio(float64(e.num()), float64(r.clock.Now()))}
+	case kindGauge:
+		return Metric{Type: "gauge", Value: e.src.(func() float64)()}
+	case kindMean:
+		var t stats.Mean
+		for _, m := range e.src.([]*stats.Mean) {
+			t.Merge(m)
+		}
+		return Metric{Type: "mean", Count: t.N(), Mean: t.Value(), Min: float64(t.Min()), Max: float64(t.Max())}
+	case kindHistogram:
+		h := e.src.(*stats.Histogram)
 		return Metric{
 			Type:  "histogram",
 			Count: h.N(),
@@ -202,25 +301,8 @@ func (r *Registry) Histogram(name string, h *stats.Histogram) {
 			P50:   h.Percentile(0.50),
 			P99:   h.Percentile(0.99),
 		}
-	})
-}
-
-// Len returns the number of registered metrics.
-func (r *Registry) Len() int { return len(r.sources) }
-
-// Names returns every registered metric name in sorted order.
-func (r *Registry) Names() []string {
-	return stats.SortedKeys(r.sources)
-}
-
-// Snapshot reads every source. The result is a plain map safe to
-// marshal, compare, and attach to cached results.
-func (r *Registry) Snapshot() Snapshot {
-	out := make(Snapshot, len(r.sources))
-	for _, name := range r.Names() {
-		out[name] = r.sources[name]()
 	}
-	return out
+	panic(fmt.Sprintf("obs: metric %q has unknown kind %d", e.name, e.kind))
 }
 
 // WriteJSON serializes the snapshot as pretty-printed JSON with sorted

@@ -18,7 +18,7 @@ func TestRegistryMeanMerges(t *testing.T) {
 	a.Observe(10)
 	a.Observe(40)
 	b.Observe(4)
-	r := NewRegistry()
+	r := NewRegistry(nil)
 	r.Mean("chip", &a, &empty, &b)
 	got := r.Snapshot()["chip"]
 	if got.Type != "mean" || got.Count != 3 || got.Mean != 18 || got.Min != 4 || got.Max != 40 {
@@ -31,7 +31,7 @@ func TestRegistryMeanMerges(t *testing.T) {
 }
 
 func TestRegistrySnapshot(t *testing.T) {
-	r := NewRegistry()
+	r := NewRegistry(nil)
 
 	var c stats.Counter
 	c.Add(42)
@@ -82,7 +82,7 @@ func TestRegistrySnapshot(t *testing.T) {
 }
 
 func TestRegistryNamesSorted(t *testing.T) {
-	r := NewRegistry()
+	r := NewRegistry(nil)
 	for _, name := range []string{"zeta", "alpha", "mid"} {
 		r.Counter(name, func() uint64 { return 0 })
 	}
@@ -96,7 +96,7 @@ func TestRegistryNamesSorted(t *testing.T) {
 }
 
 func TestRegistryDuplicatePanics(t *testing.T) {
-	r := NewRegistry()
+	r := NewRegistry(nil)
 	r.Counter("dup", func() uint64 { return 0 })
 	defer func() {
 		if msg, ok := recover().(string); !ok || !strings.Contains(msg, "dup") {
@@ -107,7 +107,7 @@ func TestRegistryDuplicatePanics(t *testing.T) {
 }
 
 func TestSnapshotWriteJSON(t *testing.T) {
-	r := NewRegistry()
+	r := NewRegistry(nil)
 	var c stats.Counter
 	c.Add(7)
 	r.Counter("b.count", c.Value)

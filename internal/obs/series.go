@@ -5,38 +5,37 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 
 	"tilesim/internal/sim"
 )
 
-// Series samples registered probes on a fixed simulated-time grid and
-// accumulates one row per epoch (DESIGN.md §15). Registration is
-// cold-path, like Registry: components hand the series closures over
-// counters they maintain anyway, and the sampler reads them out every
-// interval via PollCounters. Columns are sorted by name at Start so
-// output is byte-deterministic regardless of registration order.
+// Series samples a Registry on a fixed simulated-time grid and
+// accumulates one row per epoch (DESIGN.md §15). It is a view of the
+// registry: every counter, ratio, utilization and gauge is a column,
+// named as in the registry and sorted by name, so output is
+// byte-deterministic regardless of registration order. Each entry's
+// kind sets its column:
 //
-// Probe kinds:
+//   - counter: the per-window increment.
+//   - ratio: the per-window increment of the numerator divided by that
+//     of the denominator (e.g. a windowed compression coverage); 0 when
+//     the denominator did not move.
+//   - utilization: the per-window busy-cycle increment divided by the
+//     window width (a 0..1 duty cycle for a resource that can be busy
+//     at most once per cycle).
+//   - gauge: the level read at the window boundary.
 //
-//   - Delta: a monotone counter, reported as the per-window increment.
-//   - Level: an instantaneous value read at the window boundary.
-//   - Utilization: a monotone busy-cycle counter, reported as the
-//     per-window increment divided by the window length (a 0..1 duty
-//     cycle for a resource that can be busy at most once per cycle).
-//   - DeltaRatio: two monotone counters, reported as the per-window
-//     increment of the numerator divided by that of the denominator
-//     (e.g. compressed bits / uncompressed bits for a windowed
-//     compression ratio); 0 when the denominator did not move.
+// Means and histograms are not sampled.
 //
-// Like every obs hook, samplers must only read simulation state — the
-// sample event consumes kernel sequence numbers but never changes the
-// relative order of real events, so attaching a series shifts no
+// Like every obs hook, the sampler must only read simulation state —
+// the sample event consumes kernel sequence numbers but never changes
+// the relative order of real events, so attaching a series shifts no
 // simulated outcome (the no-feedback rule, asserted by the cmp series
 // tests).
 type Series struct {
+	reg      *Registry
 	interval sim.Time
-	columns  []seriesColumn
+	columns  []*entry
 	started  bool
 	finished bool
 	data     *SeriesData
@@ -47,23 +46,6 @@ type Series struct {
 	// any kept row when it drops beyond-end trailing rows. Freed at
 	// Finish; without a Finish call it simply mirrors the row count.
 	raw []uint64
-}
-
-type seriesKind uint8
-
-const (
-	kindDelta seriesKind = iota
-	kindLevel
-	kindUtilization
-	kindDeltaRatio
-)
-
-type seriesColumn struct {
-	name string
-	kind seriesKind
-	ctr  func() uint64  // delta / utilization / ratio numerator
-	den  func() uint64  // ratio denominator
-	lvl  func() float64 // level
 }
 
 // SeriesData is the accumulated epoch table: one row per sample in
@@ -77,87 +59,38 @@ type SeriesData struct {
 	Values         []float64 `json:"values"`
 }
 
-// NewSeries returns an empty series sampling every interval cycles
-// (clamped to 1, like PollCounters).
-func NewSeries(interval sim.Time) *Series {
+// NewSeries returns an empty series over r, sampling every interval
+// cycles (clamped to 1, like PollCounters).
+func NewSeries(r *Registry, interval sim.Time) *Series {
 	if interval == 0 {
 		interval = 1
 	}
-	return &Series{interval: interval}
+	return &Series{reg: r, interval: interval}
 }
 
-// register installs a column under a unique name, cold-path only.
-func (s *Series) register(c seriesColumn) {
-	if s.started {
-		panic(fmt.Sprintf("obs: series column %q registered after Start", c.name))
-	}
-	for _, have := range s.columns {
-		if have.name == c.name {
-			panic(fmt.Sprintf("obs: duplicate series column %q", c.name))
-		}
-	}
-	s.columns = append(s.columns, c)
-}
-
-// Delta registers a monotone counter sampled as per-window increments.
-func (s *Series) Delta(name string, fn func() uint64) {
-	if fn == nil {
-		panic(fmt.Sprintf("obs: nil sampler for series column %q", name))
-	}
-	s.register(seriesColumn{name: name, kind: kindDelta, ctr: fn})
-}
-
-// Level registers an instantaneous value read at each window boundary.
-func (s *Series) Level(name string, fn func() float64) {
-	if fn == nil {
-		panic(fmt.Sprintf("obs: nil sampler for series column %q", name))
-	}
-	s.register(seriesColumn{name: name, kind: kindLevel, lvl: fn})
-}
-
-// Utilization registers a monotone busy-cycle counter sampled as
-// per-window increment / window length.
-func (s *Series) Utilization(name string, busy func() uint64) {
-	if busy == nil {
-		panic(fmt.Sprintf("obs: nil sampler for series column %q", name))
-	}
-	s.register(seriesColumn{name: name, kind: kindUtilization, ctr: busy})
-}
-
-// DeltaRatio registers two monotone counters sampled as the windowed
-// num-increment / den-increment (0 when den did not move).
-func (s *Series) DeltaRatio(name string, num, den func() uint64) {
-	if num == nil || den == nil {
-		panic(fmt.Sprintf("obs: nil sampler for series column %q", name))
-	}
-	s.register(seriesColumn{name: name, kind: kindDeltaRatio, ctr: num, den: den})
-}
-
-// Len returns the number of registered columns.
-func (s *Series) Len() int { return len(s.columns) }
-
-// Start freezes the column set (sorted by name), preallocates the
-// sample state, and schedules the sampler on the kernel. The t=0
-// baseline row is taken synchronously (PollCounters semantics), so
-// the first real window has a baseline to delta against.
-func (s *Series) Start(k *sim.Kernel) *SeriesData {
+// Start freezes the column set (the registry's sampled entries, in name
+// order), preallocates the sample state, and schedules the sampler on
+// the registry's clock. The t=0 baseline row is taken synchronously
+// (PollCounters semantics), so the first real window has a baseline to
+// delta against.
+func (s *Series) Start() *SeriesData {
 	if s.started {
 		panic("obs: series started twice")
 	}
 	s.started = true
-	sort.SliceStable(s.columns, func(i, j int) bool {
-		return s.columns[i].name < s.columns[j].name
-	})
-	names := make([]string, len(s.columns))
-	for i, c := range s.columns {
-		names[i] = c.name
+	var names []string
+	for _, e := range s.reg.sorted() {
+		if e.kind != kindMean && e.kind != kindHistogram {
+			s.columns = append(s.columns, e)
+			names = append(names, e.name)
+		}
 	}
 	s.data = &SeriesData{
 		IntervalCycles: uint64(s.interval),
 		Columns:        names,
 	}
-	s.last = make([]uint64, 2*len(s.columns)) // slot pairs: ctr, den
-	PollCounters(k, s.interval, s.sample)
+	s.last = make([]uint64, 2*len(s.columns)) // slot pairs: num, den
+	PollCounters(s.reg.clock, s.interval, s.sample)
 	return s.data
 }
 
@@ -170,29 +103,30 @@ func (s *Series) sample(now sim.Time) {
 	width := now - s.lastTime // 0 only on the t=0 baseline row
 	s.lastTime = now
 	s.data.Times = append(s.data.Times, uint64(now))
-	for i := range s.columns {
-		c := &s.columns[i]
+	for i, e := range s.columns {
 		var v float64
-		switch c.kind {
-		case kindDelta:
-			cur := c.ctr()
+		switch e.kind {
+		case kindCounter:
+			cur := e.num()
 			v = float64(cur - s.last[2*i])
 			s.last[2*i] = cur
-		case kindLevel:
-			v = c.lvl()
-		case kindUtilization:
-			cur := c.ctr()
-			if width > 0 {
-				v = float64(cur-s.last[2*i]) / float64(width)
-			}
-			s.last[2*i] = cur
-		case kindDeltaRatio:
-			num, den := c.ctr(), c.den()
+		case kindRatio:
+			num, den := e.num(), e.den()
 			dn, dd := num-s.last[2*i], den-s.last[2*i+1]
 			if dd > 0 {
 				v = float64(dn) / float64(dd)
 			}
 			s.last[2*i], s.last[2*i+1] = num, den
+		case kindUtilization:
+			cur := e.num()
+			if width > 0 {
+				v = float64(cur-s.last[2*i]) / float64(width)
+			}
+			s.last[2*i] = cur
+		case kindGauge:
+			v = e.src.(func() float64)()
+		case kindMean, kindHistogram:
+			// Never a column: Start skips distributions.
 		}
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			v = 0

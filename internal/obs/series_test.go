@@ -10,6 +10,19 @@ import (
 	"tilesim/internal/stats"
 )
 
+// probes returns a registry with one entry of every kind over a flit
+// counter and a live level. Its mean and histogram are not sampled.
+func probes(k *sim.Kernel, flits *stats.Counter, live *int) *Registry {
+	r := NewRegistry(k)
+	r.Counter("net.flits", flits.Value)
+	r.Gauge("coh.mshr_live", func() float64 { return float64(*live) })
+	r.Utilization("net.link_util", flits.Value)
+	r.Ratio("compress.ratio", flits.Value, func() uint64 { return flits.Value() * 2 })
+	r.Mean("lat", &stats.Mean{})
+	r.Histogram("lat.hist", stats.NewHistogram(4, 1))
+	return r
+}
+
 // driveSeries runs a fixed workload against a fresh series: a counter
 // incremented by 3 every 10 cycles at 3,13,...,93 (offset so no event
 // ever ties a sample boundary — tie order depends on schedule seq),
@@ -29,12 +42,8 @@ func driveSeries(t *testing.T) *SeriesData {
 	}
 	k.Schedule(3, chain)
 
-	s := NewSeries(25)
-	s.Delta("net.flits", flits.Value)
-	s.Level("coh.mshr_live", func() float64 { return float64(live) })
-	s.Utilization("net.link_util", flits.Value)
-	s.DeltaRatio("compress.ratio", flits.Value, func() uint64 { return flits.Value() * 2 })
-	data := s.Start(k)
+	s := NewSeries(probes(k, &flits, &live), 25)
+	data := s.Start()
 	k.Run(nil)
 	return data
 }
@@ -103,7 +112,7 @@ func TestSeriesSampling(t *testing.T) {
 	if got := r1[col("net.link_util")]; got != 9.0/25.0 {
 		t.Errorf("utilization = %v, want 0.36", got)
 	}
-	// DeltaRatio: numerator delta / denominator delta = 9/18 = 0.5 in
+	// Ratio: numerator delta / denominator delta = 9/18 = 0.5 in
 	// every active window (the denominator tracks 2× the numerator).
 	if got := r1[col("compress.ratio")]; got != 0.5 {
 		t.Errorf("delta ratio = %v, want 0.5", got)
@@ -208,40 +217,15 @@ func TestSeriesRegistrationPanics(t *testing.T) {
 		fn()
 	}
 
-	expectPanic("dup", "duplicate series column", func() {
-		s := NewSeries(10)
-		s.Delta("x", func() uint64 { return 0 })
-		s.Delta("x", func() uint64 { return 0 })
-	})
-	expectPanic("nil delta", "nil sampler", func() {
-		NewSeries(10).Delta("x", nil)
-	})
-	expectPanic("nil level", "nil sampler", func() {
-		NewSeries(10).Level("x", nil)
-	})
-	expectPanic("nil util", "nil sampler", func() {
-		NewSeries(10).Utilization("x", nil)
-	})
-	expectPanic("nil ratio den", "nil sampler", func() {
-		NewSeries(10).DeltaRatio("x", func() uint64 { return 0 }, nil)
-	})
-	expectPanic("post-start", "after Start", func() {
-		k := sim.NewKernel()
-		s := NewSeries(10)
-		s.Delta("x", func() uint64 { return 0 })
-		s.Start(k)
-		s.Delta("y", func() uint64 { return 0 })
-	})
 	expectPanic("double start", "started twice", func() {
-		k := sim.NewKernel()
-		s := NewSeries(10)
-		s.Start(k)
-		s.Start(k)
+		s := NewSeries(NewRegistry(sim.NewKernel()), 10)
+		s.Start()
+		s.Start()
 	})
 }
 
 func TestSeriesZeroIntervalClamps(t *testing.T) {
-	if s := NewSeries(0); s.interval != 1 {
+	if s := NewSeries(NewRegistry(nil), 0); s.interval != 1 {
 		t.Fatalf("interval = %d, want clamp to 1", s.interval)
 	}
 }
@@ -268,12 +252,8 @@ func finishSeries(t *testing.T, trailingEvent sim.Time) (*sim.Kernel, *Series, *
 		k.ScheduleAt(trailingEvent, func() {})
 	}
 
-	s := NewSeries(25)
-	s.Delta("net.flits", flits.Value)
-	s.Level("coh.mshr_live", func() float64 { return float64(live) })
-	s.Utilization("net.link_util", flits.Value)
-	s.DeltaRatio("compress.ratio", flits.Value, func() uint64 { return flits.Value() * 2 })
-	data := s.Start(k)
+	s := NewSeries(probes(k, &flits, &live), 25)
+	data := s.Start()
 	k.Run(nil)
 	return k, s, data
 }
@@ -381,7 +361,7 @@ func TestSeriesFinishPanics(t *testing.T) {
 		fn()
 	}
 	expectPanic("before start", "before Start", func() {
-		NewSeries(10).Finish(5)
+		NewSeries(NewRegistry(nil), 10).Finish(5)
 	})
 	expectPanic("double finish", "finished twice", func() {
 		_, s, _ := finishSeries(t, 0)

@@ -4,11 +4,12 @@
 // coherence directory entries and send jobs, mesh transits, core
 // local-delivery jobs).
 //
-// The package itself is always compiled, but nothing references it
-// unless the build carries `-tags pooldebug`: each pooled package
-// declares tiny hook functions in a pair of build-tagged files, empty
-// in the default build (they inline to nothing — the allocation gate
-// proves zero added cost) and forwarding here under the tag. Under the
+// The pooled packages call Acquire, Release and CheckAlive directly.
+// Those are generic functions over the pooled pointer, defined in one
+// build-tagged pair of files: empty in the default build (they inline
+// to nothing — the allocation gate proves zero added cost) and
+// forwarding to this file's registry under `-tags pooldebug`. The
+// registry and its tests are compiled in every build. Under the
 // tag every pool records the acquire and release site of every object,
 // and the simulator panics — with both stack traces — the moment an
 // ownership contract is broken:
@@ -100,8 +101,8 @@ func recordFor(obj any) *record {
 	return r
 }
 
-// Acquire records obj leaving its pool at generation gen.
-func Acquire(obj any, gen uint64) {
+// acquire records obj leaving its pool at generation gen.
+func acquire(obj any, gen uint64) {
 	mu.Lock()
 	defer mu.Unlock()
 	r := recordFor(obj)
@@ -112,9 +113,9 @@ func Acquire(obj any, gen uint64) {
 	r.hasRelease = false
 }
 
-// Release records obj returning to its pool, panicking with both stack
+// release records obj returning to its pool, panicking with both stack
 // traces if the pool already released it (double-Put).
-func Release(obj any, gen uint64) {
+func release(obj any, gen uint64) {
 	mu.Lock()
 	defer mu.Unlock()
 	r := recordFor(obj)
@@ -129,12 +130,12 @@ func Release(obj any, gen uint64) {
 	r.hasRelease = true
 }
 
-// CheckAlive verifies a generation-snapshot guard: snapshot is the
+// checkAlive verifies a generation-snapshot guard: snapshot is the
 // generation recorded when the reference was retained, current the
 // object's generation now. A mismatch means the object was recycled
 // while the reference was held — the panic carries the acquire and
 // release stacks of the lifetime that invalidated it.
-func CheckAlive(obj any, snapshot, current uint64) {
+func checkAlive(obj any, snapshot, current uint64) {
 	if snapshot == current {
 		return
 	}

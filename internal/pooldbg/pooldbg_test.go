@@ -16,17 +16,17 @@ func TestLifecycleIsSilentWhenClean(t *testing.T) {
 	Reset()
 	obj := &thing{}
 	for gen := uint64(0); gen < 3; gen++ {
-		Acquire(obj, gen)
-		CheckAlive(obj, gen, gen)
-		Release(obj, gen)
+		acquire(obj, gen)
+		checkAlive(obj, gen, gen)
+		release(obj, gen)
 	}
 }
 
 func TestDoubleReleasePanicsWithBothStacks(t *testing.T) {
 	Reset()
 	obj := &thing{}
-	Acquire(obj, 7)
-	Release(obj, 7)
+	acquire(obj, 7)
+	release(obj, 7)
 	defer func() {
 		r := recover()
 		if r == nil {
@@ -47,15 +47,15 @@ func TestDoubleReleasePanicsWithBothStacks(t *testing.T) {
 			}
 		}
 	}()
-	Release(obj, 7)
+	release(obj, 7)
 }
 
 func TestStaleCheckAlivePanicsWithLifetimeStacks(t *testing.T) {
 	Reset()
 	obj := &thing{}
-	Acquire(obj, 1)
-	Release(obj, 1)
-	Acquire(obj, 2) // recycled: a snapshot taken at gen 1 is now stale
+	acquire(obj, 1)
+	release(obj, 1)
+	acquire(obj, 2) // recycled: a snapshot taken at gen 1 is now stale
 	defer func() {
 		r := recover()
 		if r == nil {
@@ -76,23 +76,23 @@ func TestStaleCheckAlivePanicsWithLifetimeStacks(t *testing.T) {
 			}
 		}
 	}()
-	CheckAlive(obj, 1, 2)
+	checkAlive(obj, 1, 2)
 }
 
 func TestReacquireAfterReleaseIsClean(t *testing.T) {
 	Reset()
 	obj := &thing{}
-	Acquire(obj, 1)
-	Release(obj, 1)
-	Acquire(obj, 2)
-	Release(obj, 2) // a release per lifetime is not a double release
+	acquire(obj, 1)
+	release(obj, 1)
+	acquire(obj, 2)
+	release(obj, 2) // a release per lifetime is not a double release
 }
 
 func TestResetForgetsHistory(t *testing.T) {
 	Reset()
 	obj := &thing{}
-	Acquire(obj, 1)
-	Release(obj, 1)
+	acquire(obj, 1)
+	release(obj, 1)
 	Reset()
-	Release(obj, 1) // no recorded first release left to conflict with
+	release(obj, 1) // no recorded first release left to conflict with
 }

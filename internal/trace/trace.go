@@ -21,6 +21,7 @@ import (
 	"strconv"
 	"strings"
 
+	"tilesim/internal/coherence"
 	"tilesim/internal/workload"
 )
 
@@ -121,7 +122,8 @@ func (t *Trace) Encode(w io.Writer) error {
 }
 
 // Decode parses the text format. The core count is the highest core id
-// seen plus one, unless cores > 0 forces it.
+// seen plus one, unless cores > 0 forces it. Core ids must be below
+// coherence.MaxTiles.
 func Decode(r io.Reader, cores int) (*Trace, error) {
 	type parsedOp struct {
 		core int
@@ -145,6 +147,10 @@ func Decode(r io.Reader, cores int) (*Trace, error) {
 		core, err := strconv.Atoi(fields[0])
 		if err != nil || core < 0 {
 			return nil, fmt.Errorf("trace: line %d: bad core %q", lineNo, fields[0])
+		}
+		// The core count sizes the per-core slices, so bound it first.
+		if core >= coherence.MaxTiles {
+			return nil, fmt.Errorf("trace: line %d: core %d exceeds the %d-tile limit", lineNo, core, coherence.MaxTiles)
 		}
 		if core > maxCore {
 			maxCore = core
@@ -201,13 +207,15 @@ func Decode(r io.Reader, cores int) (*Trace, error) {
 
 // Summary describes a trace for reporting.
 type Summary struct {
-	Cores     int
-	Loads     int
-	Stores    int
-	Computes  int
-	Barriers  int
-	Blocks    int // distinct 64-byte blocks
-	SharedPct float64
+	Cores    int
+	Loads    int
+	Stores   int
+	Computes int
+	Barriers int
+	// MinCoreRefs is the load+store count of the core with the fewest.
+	MinCoreRefs int
+	Blocks      int // distinct 64-byte blocks
+	SharedPct   float64
 }
 
 // Summarize scans the trace.
@@ -217,6 +225,7 @@ func (t *Trace) Summarize() Summary {
 	firstCore := map[uint64]int{}
 	shared := map[uint64]bool{}
 	for core, stream := range t.ops {
+		refs := 0
 		for _, op := range stream {
 			switch op.Kind {
 			case workload.OpLoad:
@@ -229,6 +238,7 @@ func (t *Trace) Summarize() Summary {
 				s.Barriers++
 			}
 			if op.Kind == workload.OpLoad || op.Kind == workload.OpStore {
+				refs++
 				b := op.Addr &^ 63
 				blocks[b]++
 				if fc, ok := firstCore[b]; !ok {
@@ -237,6 +247,9 @@ func (t *Trace) Summarize() Summary {
 					shared[b] = true
 				}
 			}
+		}
+		if core == 0 || refs < s.MinCoreRefs {
+			s.MinCoreRefs = refs
 		}
 	}
 	s.Blocks = len(blocks)

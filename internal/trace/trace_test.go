@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -237,6 +238,11 @@ func TestDecodeErrors(t *testing.T) {
 	if _, err := Decode(strings.NewReader("5 B\n"), 2); err == nil {
 		t.Error("core 5 accepted with forced count 2")
 	}
+	// A core id past the tile limit is rejected with its line number,
+	// before any per-core slice is sized from it.
+	if _, err := Decode(strings.NewReader("0 B\n1024 B\n"), 0); err == nil || !strings.Contains(err.Error(), "line 2") {
+		t.Errorf("core 1024 not rejected with its line: %v", err)
+	}
 	// Empty trace without a core count.
 	if _, err := Decode(strings.NewReader("# nothing\n"), 0); err == nil {
 		t.Error("empty trace without core count accepted")
@@ -252,4 +258,39 @@ func TestCommentsAndBlankLines(t *testing.T) {
 	if tr.Len() != 2 || tr.Cores() != 2 {
 		t.Fatalf("decoded %d ops / %d cores", tr.Len(), tr.Cores())
 	}
+}
+
+// FuzzDecode checks that Decode never panics on any input, and that a
+// trace it accepts re-encodes and re-decodes to the same streams.
+func FuzzDecode(f *testing.F) {
+	var b strings.Builder
+	if err := sample().Encode(&b); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(b.String())
+	f.Add("# interleaved capture\n1 L 2000\n0 L 1000\n0 C 5\n1 S 2040\n2 B\n0 S 1040\n1 B\n")
+	f.Add("# header\n\n0 L 40\n  \n# more\n1 B\n")
+	f.Add("1023 B\n")
+	f.Fuzz(func(t *testing.T, in string) {
+		first, err := Decode(strings.NewReader(in), 0)
+		if err != nil {
+			return
+		}
+		var enc strings.Builder
+		if err := first.Encode(&enc); err != nil {
+			t.Fatalf("encode of a decoded trace: %v", err)
+		}
+		second, err := Decode(strings.NewReader(enc.String()), 0)
+		if err != nil {
+			t.Fatalf("re-decode: %v\n%s", err, enc.String())
+		}
+		if first.Cores() != second.Cores() {
+			t.Fatalf("cores %d, re-decoded %d", first.Cores(), second.Cores())
+		}
+		for core := range first.ops {
+			if !slices.Equal(first.ops[core], second.ops[core]) {
+				t.Fatalf("core %d: %v, re-decoded %v", core, first.ops[core], second.ops[core])
+			}
+		}
+	})
 }
