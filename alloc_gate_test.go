@@ -14,6 +14,7 @@ package tilesim
 import (
 	"encoding/json"
 	"os"
+	"runtime"
 	"testing"
 
 	"tilesim/internal/cmp"
@@ -33,6 +34,8 @@ type allocBudget struct {
 	// 16-tile global ceiling raised on its behalf.
 	ScaleAllocsPerTileCeiling  uint64 `json:"scale_allocs_per_tile_ceiling"`
 	ScaleMeasuredAllocsPerTile uint64 `json:"scale_measured_allocs_per_tile"`
+	ScaleBytesPerTileCeiling   uint64 `json:"scale_bytes_per_tile_ceiling"`
+	ScaleMeasuredBytesPerTile  uint64 `json:"scale_measured_bytes_per_tile"`
 }
 
 func readAllocBudget(t testing.TB) allocBudget {
@@ -115,9 +118,9 @@ func runScaleGateOnce(t testing.TB) {
 	}
 }
 
-// BenchmarkScaleAllocGate is the measurement the CI alloc-gate job
-// compares against the per-tile ceiling
-// (allocs/op <= tiles * scale_allocs_per_tile_ceiling).
+// BenchmarkScaleAllocGate is the measurement behind the per-tile
+// ceilings (allocs/op <= tiles * scale_allocs_per_tile_ceiling,
+// B/op <= tiles * scale_bytes_per_tile_ceiling).
 func BenchmarkScaleAllocGate(b *testing.B) {
 	budget := readAllocBudget(b)
 	b.ReportAllocs()
@@ -127,10 +130,10 @@ func BenchmarkScaleAllocGate(b *testing.B) {
 	}
 }
 
-// TestScaleAllocGate enforces the per-tile ceiling at 1024 tiles in
-// the ordinary test run. Skipped under -race and -short for the same
-// reasons as TestAllocGate, and because a 1024-tile simulation takes
-// tens of seconds.
+// TestScaleAllocGate enforces the per-tile allocation and byte
+// ceilings at 1024 tiles in the ordinary test run. Skipped under -race
+// and -short for the same reasons as TestAllocGate, and because a
+// 1024-tile simulation takes tens of seconds.
 func TestScaleAllocGate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation inflates allocation counts")
@@ -142,18 +145,35 @@ func TestScaleAllocGate(t *testing.T) {
 		t.Skip("1024-tile allocation measurement")
 	}
 	budget := readAllocBudget(t)
-	if budget.ScaleAllocsPerTileCeiling == 0 {
-		t.Fatal("alloc gate: ALLOC_BUDGET.json has no scale_allocs_per_tile_ceiling")
+	if budget.ScaleAllocsPerTileCeiling == 0 || budget.ScaleBytesPerTileCeiling == 0 {
+		t.Fatal("alloc gate: ALLOC_BUDGET.json lacks scale_allocs_per_tile_ceiling or scale_bytes_per_tile_ceiling")
 	}
-	allocs := uint64(testing.AllocsPerRun(1, func() { runScaleGateOnce(t) }))
-	perTile := allocs / scaleGateTiles
-	ceiling := scaleGateTiles * budget.ScaleAllocsPerTileCeiling
-	t.Logf("scale alloc gate: %d allocs/op = %d allocs/tile at %d tiles (per-tile ceiling %d, recorded %d)",
-		allocs, perTile, scaleGateTiles, budget.ScaleAllocsPerTileCeiling, budget.ScaleMeasuredAllocsPerTile)
-	if allocs > ceiling {
+	allocs, bytes := allocsAndBytesPerRun(func() { runScaleGateOnce(t) })
+	t.Logf("scale alloc gate: %d allocs/op = %d allocs/tile, %d B/op = %d B/tile at %d tiles (per-tile ceilings %d allocs, %d B; recorded %d allocs, %d B)",
+		allocs, allocs/scaleGateTiles, bytes, bytes/scaleGateTiles, scaleGateTiles,
+		budget.ScaleAllocsPerTileCeiling, budget.ScaleBytesPerTileCeiling,
+		budget.ScaleMeasuredAllocsPerTile, budget.ScaleMeasuredBytesPerTile)
+	if ceiling := scaleGateTiles * budget.ScaleAllocsPerTileCeiling; allocs > ceiling {
 		t.Errorf("scale alloc gate: %d allocs/op exceeds %d tiles x %d allocs/tile = %d",
 			allocs, scaleGateTiles, budget.ScaleAllocsPerTileCeiling, ceiling)
 	}
+	if ceiling := scaleGateTiles * budget.ScaleBytesPerTileCeiling; bytes > ceiling {
+		t.Errorf("scale alloc gate: %d B/op exceeds %d tiles x %d B/tile = %d",
+			bytes, scaleGateTiles, budget.ScaleBytesPerTileCeiling, ceiling)
+	}
+}
+
+// allocsAndBytesPerRun is testing.AllocsPerRun(1, fn) that also
+// reports the bytes allocated: one warm-up call, then the heap
+// allocations and bytes of one measured call, at GOMAXPROCS 1.
+func allocsAndBytesPerRun(fn func()) (allocs, bytes uint64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	fn()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
 }
 
 // TestAllocGate enforces the ceiling in the ordinary test run, so a

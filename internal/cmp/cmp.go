@@ -281,6 +281,15 @@ func NewSystem(cfg RunConfig) (*System, error) {
 	if cfg.RefsPerCore <= 0 {
 		return nil, fmt.Errorf("cmp: RefsPerCore must be positive")
 	}
+	if cfg.WarmupRefs < 0 {
+		return nil, fmt.Errorf("cmp: WarmupRefs must be non-negative, got %d", cfg.WarmupRefs)
+	}
+	// A named app issues exactly RefsPerCore references per core, so a
+	// warm-up that long never completes and the whole run is measured.
+	// A custom Generator's stream length is its caller's to check.
+	if cfg.Generator == nil && cfg.WarmupRefs >= cfg.RefsPerCore {
+		return nil, fmt.Errorf("cmp: WarmupRefs (%d) must be below RefsPerCore (%d)", cfg.WarmupRefs, cfg.RefsPerCore)
+	}
 	if cfg.SeriesInterval < 0 {
 		return nil, fmt.Errorf("cmp: SeriesInterval must be non-negative, got %d", cfg.SeriesInterval)
 	}

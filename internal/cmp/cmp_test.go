@@ -1,10 +1,12 @@
 package cmp
 
 import (
+	"strings"
 	"testing"
 
 	"tilesim/internal/compress"
 	"tilesim/internal/noc"
+	"tilesim/internal/workload"
 )
 
 func baselineCfg(app string, refs int) RunConfig {
@@ -177,6 +179,36 @@ func TestInvalidConfigs(t *testing.T) {
 	}
 	if _, err := Run(hetCfg("FFT", 10, compress.Spec{Kind: "bogus"})); err == nil {
 		t.Error("bogus scheme accepted")
+	}
+}
+
+// TestWarmupOutOfRangeRejected checks that NewSystem rejects a negative
+// warm-up, and a named-app warm-up that no core would complete, naming
+// both counts. A custom Generator's warm-up is left to its caller.
+func TestWarmupOutOfRangeRejected(t *testing.T) {
+	for _, c := range []struct {
+		warmup int
+		want   string
+	}{
+		{-1, "got -1"},
+		{200, "WarmupRefs (200) must be below RefsPerCore (200)"},
+		{500, "WarmupRefs (500) must be below RefsPerCore (200)"},
+	} {
+		cfg := baselineCfg("FFT", 200)
+		cfg.WarmupRefs = c.warmup
+		_, err := NewSystem(cfg)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("warmup %d: error %v, want one containing %q", c.warmup, err, c.want)
+		}
+	}
+	gen, err := workload.NewNamedApp("FFT", 16, 600, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := baselineCfg("replay", 200)
+	cfg.WarmupRefs, cfg.Generator = 500, gen
+	if _, err := NewSystem(cfg); err != nil {
+		t.Errorf("custom generator with warmup 500 of label 200: %v", err)
 	}
 }
 

@@ -24,36 +24,46 @@ func TestTopologyCoordRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRouteXYIsMinimalAndDimensionOrdered checks that every route
+// resolves X before Y: once a hop changes the row, no later hop changes
+// the column. On mesh and cmesh each hop also moves one grid step.
 func TestRouteXYIsMinimalAndDimensionOrdered(t *testing.T) {
-	topo := NewMesh(4, 4)
-	for src := 0; src < 16; src++ {
-		for dst := 0; dst < 16; dst++ {
-			if src == dst {
-				continue
-			}
-			route := topo.AppendRoute(nil, src, dst)
-			if len(route) != topo.Hops(src, dst) {
-				t.Fatalf("%d->%d: route length %d, hops %d", src, dst, len(route), topo.Hops(src, dst))
-			}
-			if route[len(route)-1] != dst {
-				t.Fatalf("%d->%d: route ends at %d", src, dst, route[len(route)-1])
-			}
-			// X moves first, then Y: once Y changes, X must stay fixed.
-			prev := topo.CoordOf(src)
-			yPhase := false
-			for _, id := range route {
-				c := topo.CoordOf(id)
-				dx, dy := abs(c.X-prev.X), abs(c.Y-prev.Y)
-				if dx+dy != 1 {
-					t.Fatalf("%d->%d: non-adjacent step %+v -> %+v", src, dst, prev, c)
+	for _, topo := range append([]Topology{NewMesh(4, 4)}, topologies64()...) {
+		walk := legsWalker(t, topo)
+		g := topo.(gridded)
+		_, slim := topo.(Slim)
+		_, torus := topo.(Torus)
+		for src := 0; src < topo.Nodes(); src++ {
+			for dst := 0; dst < topo.Nodes(); dst++ {
+				route := walk(src, dst)
+				if len(route) != topo.Hops(src, dst) {
+					t.Fatalf("%s %d->%d: route length %d, hops %d", topo.Label(), src, dst, len(route), topo.Hops(src, dst))
 				}
-				if dy == 1 {
-					yPhase = true
+				if src == dst {
+					continue
 				}
-				if dx == 1 && yPhase {
-					t.Fatalf("%d->%d: X move after Y phase", src, dst)
+				if route[len(route)-1] != dst {
+					t.Fatalf("%s %d->%d: route ends at %d", topo.Label(), src, dst, route[len(route)-1])
 				}
-				prev = c
+				prev := g.CoordOf(src)
+				yPhase := false
+				for _, id := range route {
+					c := g.CoordOf(id)
+					dx, dy := c.X != prev.X, c.Y != prev.Y
+					if dx == dy {
+						t.Fatalf("%s %d->%d: step %+v -> %+v is not along one axis", topo.Label(), src, dst, prev, c)
+					}
+					if !slim && !torus && abs(c.X-prev.X)+abs(c.Y-prev.Y) != 1 {
+						t.Fatalf("%s %d->%d: non-adjacent step %+v -> %+v", topo.Label(), src, dst, prev, c)
+					}
+					if dy {
+						yPhase = true
+					}
+					if dx && yPhase {
+						t.Fatalf("%s %d->%d: X move after Y phase", topo.Label(), src, dst)
+					}
+					prev = c
+				}
 			}
 		}
 	}

@@ -3,7 +3,6 @@ package mesh
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"tilesim/internal/energy"
 	"tilesim/internal/fault"
@@ -167,17 +166,19 @@ type Handler func(*sim.Kernel, *noc.Message)
 type Network struct {
 	k    *sim.Kernel
 	topo Topology
-	// nodes caches topo.Nodes() for the route and link-salt arithmetic.
+	// nodes caches topo.Nodes() for the link-salt arithmetic.
 	nodes    int
 	cfg      Config
 	meter    *energy.Meter // activity counts for energy; nil = none
 	handlers []Handler
 
 	// links is topo.Links(): a link id is a position in this canonical
-	// (From, To) order. linkStart indexes it by source router (CSR):
-	// the links leaving router r are links[linkStart[r]:linkStart[r+1]].
-	links     []Link
-	linkStart []int32
+	// (From, To) order. portLink[r*ports+p] is the id of the link
+	// leaving router r on port p (-1 where the router has no such
+	// port), so a hop finds its link with one indexed load.
+	links    []Link
+	portLink []int32
+	ports    int
 	// chans holds every plane of every directed link, indexed
 	// link*numPlanes+plane; planes the configuration lacks stay zero
 	// and unused. Flat and pointer-free, so the hop path makes one
@@ -208,15 +209,6 @@ type Network struct {
 	// per-message transit at +5.7% of the run's allocations before
 	// pooling.
 	free *transit
-	// routeOff caches each (src,dst) router pair's route, built on
-	// first use (routes are pure functions of the topology).
-	// routeOff[src*nodes+dst] is 0 for a pair not yet built, else the
-	// position in routeArena of the route's hop count h, followed by
-	// its h link ids. routeArena[0] is an unused sentinel.
-	routeOff   []int32
-	routeArena []int32
-	// routeBuf is the reused scratch buffer routes are built in.
-	routeBuf []int
 
 	// inj, when non-nil, is the fault-injection source (DESIGN.md §11).
 	// Fault accounting below stays zero without an injector.
@@ -265,24 +257,13 @@ func New(k *sim.Kernel, cfg Config, meter *energy.Meter) *Network {
 		meter:    meter,
 		handlers: make([]Handler, topo.Tiles()),
 		links:    topo.Links(),
-		routeOff: make([]int32, nodes*nodes),
-		// The sentinel, plus room for the routes of a small run.
-		routeArena: make([]int32, 1, 1024),
 	}
 	for c := range n.latHist {
 		// 2-cycle buckets up to 512 cycles; congested tails overflow
 		// into the exact-max tracking.
 		n.latHist[c] = stats.NewHistogram(256, 2)
 	}
-	// Index the canonical link list by source router; Links() is
-	// sorted by From, so each router's links are contiguous.
-	n.linkStart = make([]int32, nodes+1)
-	for _, l := range n.links {
-		n.linkStart[l.From+1]++
-	}
-	for r := 0; r < nodes; r++ {
-		n.linkStart[r+1] += n.linkStart[r]
-	}
+	n.portLink, n.ports = portTable(topo, n.links)
 	// Every link gets the same plane set.
 	var planes [numPlanes]channel
 	for p := Plane(0); p < numPlanes; p++ {
@@ -306,6 +287,33 @@ func New(k *sim.Kernel, cfg Config, meter *energy.Meter) *Network {
 		}
 	}
 	return n
+}
+
+// portTable indexes links by (source router, port): the returned
+// table holds the id of the link leaving router r on port p at
+// r*ports+p, and -1 where r has no port p. A link (a, b) is the
+// one-hop route Legs(a, b), which names its port.
+func portTable(topo Topology, links []Link) (table []int32, ports int) {
+	for _, l := range links {
+		ports = max(ports, int(topo.Legs(l.From, l.To).trimmed().First.Port)+1)
+	}
+	table = make([]int32, topo.Nodes()*ports)
+	for i := range table {
+		table[i] = -1
+	}
+	for li, l := range links {
+		legs := topo.Legs(l.From, l.To).trimmed()
+		if legs.First.Hops != 1 || legs.Second.Hops != 0 || legs.First.Port < 0 {
+			panic(fmt.Sprintf("mesh: link %d->%d routes as %+v, not one hop out of a port", l.From, l.To, legs))
+		}
+		slot := &table[l.From*ports+int(legs.First.Port)]
+		if *slot >= 0 {
+			panic(fmt.Sprintf("mesh: links %d->%d and %d->%d share port %d of router %d",
+				l.From, links[*slot].To, l.From, l.To, legs.First.Port, l.From))
+		}
+		*slot = int32(li)
+	}
+	return table, ports
 }
 
 // scaledCycles scales a channel's wire-traversal latency, rounding up
@@ -412,35 +420,29 @@ func (n *Network) Send(m *noc.Message) {
 				classSlug(noc.ClassOf(m.Type)), uint64(injected))
 		}
 	}
-	if srcNode == dstNode {
-		// Same-router tiles (concentrated mesh only): the message
-		// crosses the local crossbar — one router pipeline plus tail
-		// serialization — with no link, no wire flight, and no channel
-		// contention. The empty route makes the latency breakdown exact
-		// (hops = 0, Wire = 0).
-		t := n.newTransit(m, localRoute, srcNode, injected, flits, plane, traceID)
+	// Same-router tiles (concentrated mesh only) get empty legs.
+	t := n.newTransit(m, n.topo.Legs(srcNode, dstNode).trimmed(), srcNode, injected, flits, plane, traceID)
+	if t.hops == 0 {
+		// The message crosses the local crossbar — one router pipeline
+		// plus tail serialization — with no link, no wire flight, and
+		// no channel contention; zero hops keep the latency breakdown
+		// exact (Wire = 0).
 		if n.meter != nil {
 			n.meter.RouterHop(m.SizeBytes, flits)
 		}
 		n.k.ScheduleAt(injected+sim.Time(n.cfg.RouterLatency)+sim.Time(flits-1), t.deliverFn)
 		return
 	}
-	route := n.routeOf(srcNode, dstNode)
-	n.hop(n.newTransit(m, route, srcNode, injected, flits, plane, traceID))
+	n.hop(t)
 }
-
-// localRoute is the shared empty route of same-router (crossbar)
-// deliveries; non-nil so a transit carrying it is distinguishable from
-// a recycled one.
-var localRoute = []int32{}
 
 // transit is one message's in-flight state, taken from the Network's
 // freelist at Send so the per-hop event closures capture a single
 // pointer instead of the whole argument list (the hop path dominates
 // the simulator's allocation volume). The kernel is single-threaded,
 // so hops may mutate it in place. at holds a router (node) id, not a
-// tile id — they coincide except on a concentrated mesh — and route
-// holds link ids.
+// tile id — they coincide except on a concentrated mesh — and legs
+// holds the route still to go from at.
 type transit struct {
 	m *noc.Message
 	// mGen snapshots m's pool generation when the transit retains it
@@ -448,15 +450,18 @@ type transit struct {
 	// dereferencing, so a header recycled mid-flight panics under
 	// -tags pooldebug.
 	mGen     uint64
-	route    []int32
+	legs     Legs
 	injected sim.Time
 	// waited accumulates output-channel queueing across hops so
 	// delivery can decompose the end-to-end latency exactly.
 	waited sim.Time
 	at     int
-	idx    int
-	flits  noc.FlitCount
-	plane  Plane
+	// li is the link the current hop leaves at on; hops is the
+	// route's total hop count.
+	li    int32
+	hops  int32
+	flits noc.FlitCount
+	plane Plane
 	// traceID is the sampled lifecycle span id (0 when untraced or
 	// unsampled).
 	traceID uint64
@@ -478,9 +483,6 @@ type transit struct {
 	deliverFn sim.Event // tail serialized at the destination
 	hopFn     sim.Event // retransmission entry (fault injection)
 	dropFn    sim.Event // retry-budget exhaustion (fault injection)
-	// dropFrom/dropTo park the failing link's endpoints for dropFn
-	// (set by retryHop; nothing touches a doomed transit in between).
-	dropFrom, dropTo int
 	// next links the freelist.
 	next *transit
 }
@@ -492,7 +494,7 @@ type transit struct {
 // dereferencing.
 //
 //tilesim:pool
-func (n *Network) newTransit(m *noc.Message, route []int32, srcNode int, injected sim.Time, flits noc.FlitCount, plane Plane, traceID uint64) *transit {
+func (n *Network) newTransit(m *noc.Message, legs Legs, srcNode int, injected sim.Time, flits noc.FlitCount, plane Plane, traceID uint64) *transit {
 	t := n.free
 	if t == nil {
 		//tilesim:allocok pool miss: one transit + its four continuation closures, reused for the rest of the run
@@ -504,15 +506,15 @@ func (n *Network) newTransit(m *noc.Message, route []int32, srcNode int, injecte
 		//tilesim:allocok pool miss: closure allocated once per pooled transit, reused for the rest of the run
 		t.hopFn = func() { n.hop(t) }
 		//tilesim:allocok pool miss: closure allocated once per pooled transit, reused for the rest of the run
-		t.dropFn = func() { n.drop(t, t.dropFrom, t.dropTo) }
+		t.dropFn = func() { n.drop(t) }
 	} else {
 		n.free = t.next
 		t.next = nil
 	}
 	pooldbg.Acquire(t, 0)
 	t.mGen = m.Generation()
-	t.m, t.route, t.injected, t.waited = m, route, injected, 0
-	t.at, t.idx, t.flits, t.plane = srcNode, 0, flits, plane
+	t.m, t.legs, t.injected, t.waited = m, legs, injected, 0
+	t.at, t.hops, t.flits, t.plane = srcNode, legs.First.Hops+legs.Second.Hops, flits, plane
 	t.traceID, t.attempts, t.retryCycles = traceID, 0, 0
 	return t
 }
@@ -523,59 +525,21 @@ func (n *Network) newTransit(m *noc.Message, route []int32, srcNode int, injecte
 //tilesim:release
 func (n *Network) recycle(t *transit) {
 	pooldbg.Release(t, 0)
-	t.m, t.route = nil, nil
+	t.m = nil
 	t.next = n.free
 	n.free = t
 }
 
-// routeOf returns the link ids of the topology's route between two
-// distinct routers, from the per-(src,dst) cache. An empty route for
-// distinct routers means the topology's AppendRoute contract is broken
-// — always a bug, never recoverable. Cached routes are read-only:
-// transits index into them but never mutate. A transit may keep a
-// route from before an arena growth; that copy stays valid.
-func (n *Network) routeOf(srcNode, dstNode int) []int32 {
-	pair := srcNode*n.nodes + dstNode
-	if off := n.routeOff[pair]; off != 0 {
-		return n.routeArena[off+1 : off+1+n.routeArena[off]]
-	}
-	n.routeBuf = n.topo.AppendRoute(n.routeBuf[:0], srcNode, dstNode)
-	if len(n.routeBuf) == 0 {
-		panic("mesh: zero-length route")
-	}
-	off := int32(len(n.routeArena))
-	n.routeArena = append(n.routeArena, int32(len(n.routeBuf)))
-	from := srcNode
-	for _, to := range n.routeBuf {
-		//tilesim:allocok route arena growth: amortized doubling, and each (src,dst) router pair is built once per run
-		n.routeArena = append(n.routeArena, n.linkID(from, to))
-		from = to
-	}
-	n.routeOff[pair] = off
-	return n.routeArena[off+1 : off+1+n.routeArena[off]]
-}
-
-// linkID returns the id of the directed link from->to by binary search
-// over from's links, which Links() orders by ascending To.
-func (n *Network) linkID(from, to int) int32 {
-	first := n.linkStart[from]
-	i, ok := slices.BinarySearchFunc(n.links[first:n.linkStart[from+1]], to,
-		func(l Link, to int) int { return l.To - to })
-	if !ok {
-		panic(fmt.Sprintf("mesh: no link %d->%d", from, to))
-	}
-	return first + int32(i)
-}
-
-// hop models the head flit leaving router t.at over link t.route[t.idx].
-// Under fault injection the traversal may be corrupted (caught by the
-// link CRC at the receiving router and NACKed back — see retryHop) or
-// delayed by an injected router stall or plane outage.
+// hop models the head flit leaving router t.at out of its first leg's
+// port. Under fault injection the traversal may be corrupted (caught
+// by the link CRC at the receiving router and NACKed back — see
+// retryHop) or delayed by an injected router stall or plane outage.
 //
 //tilesim:hotpath per-hop transit, the simulator's innermost loop
 func (n *Network) hop(t *transit) {
 	entered := n.k.Now()
-	li := t.route[t.idx]
+	li := n.portLink[t.at*n.ports+int(t.legs.First.Port)]
+	t.li = li
 	next := n.links[li].To
 	ch := n.channel(li, t.plane)
 	// Router pipeline (plus any injected stall), then wait for the
@@ -624,19 +588,21 @@ func (n *Network) hop(t *transit) {
 	n.k.ScheduleAt(headArrives, t.arriveFn)
 }
 
-// arrive fires when the head flit reaches the far router of link
-// t.route[t.idx]: either the final tail-serialization delay before
-// delivery, or the next hop. Nothing mutates the transit between the
-// schedule in hop and this callback, so recomputing the next router
-// here is exact.
+// arrive fires when the head flit reaches the far router of link t.li:
+// either the final tail-serialization delay before delivery, or the
+// next hop. Nothing mutates the transit between the schedule in hop and
+// this callback, so reading the next router here is exact.
 func (n *Network) arrive(t *transit) {
-	if t.idx == len(t.route)-1 {
-		// Final router pipeline plus tail serialization.
-		deliver := n.k.Now() + sim.Time(n.cfg.RouterLatency) + sim.Time(t.flits-1)
-		n.k.ScheduleAt(deliver, t.deliverFn)
-		return
+	t.at = n.links[t.li].To
+	if t.legs.First.Hops--; t.legs.First.Hops == 0 {
+		if t.legs.Second.Hops == 0 {
+			// Final router pipeline plus tail serialization.
+			deliver := n.k.Now() + sim.Time(n.cfg.RouterLatency) + sim.Time(t.flits-1)
+			n.k.ScheduleAt(deliver, t.deliverFn)
+			return
+		}
+		t.legs = Legs{First: t.legs.Second}
 	}
-	t.at, t.idx = n.links[t.route[t.idx]].To, t.idx+1
 	n.hop(t)
 }
 
@@ -663,10 +629,9 @@ func (n *Network) retryHop(t *transit, ch *channel, next int, entered, headArriv
 		n.tracer.Instant(obs.PidLinks, tid, "crc-nack:"+t.m.Type.String(), "fault", uint64(tail))
 	}
 	if t.attempts > n.inj.RetryLimit() {
-		// The prebound drop continuation reads the failing link's
-		// endpoints from the transit; nothing touches a doomed transit
-		// between here and the scheduled drop.
-		t.dropFrom, t.dropTo = t.at, next
+		// The prebound drop continuation reads the failing link from
+		// t.at and t.li; nothing touches a doomed transit between here
+		// and the scheduled drop.
 		n.k.ScheduleAt(tail, t.dropFn)
 		return
 	}
@@ -677,16 +642,17 @@ func (n *Network) retryHop(t *transit, ch *channel, next int, entered, headArriv
 	n.k.ScheduleAt(retryAt, t.hopFn)
 }
 
-// drop removes a message whose retry budget is exhausted and records
-// the run-fatal fault error (first drop wins; later drops only count).
-func (n *Network) drop(t *transit, from, to int) {
+// drop removes a message whose retry budget is exhausted on link t.li
+// and records the run-fatal fault error (first drop wins; later drops
+// only count).
+func (n *Network) drop(t *transit) {
 	t.m.CheckAlive(t.mGen)
 	n.inFlight--
 	n.dropped.Inc()
 	if n.faultErr == nil {
 		//tilesim:allocok terminal fault path: the first drop composes the run-fatal error
 		n.faultErr = fmt.Errorf("mesh: %v %d->%d dropped on link %d->%d at cycle %d: retry budget (%d) exhausted",
-			t.m.Type, t.m.Src, t.m.Dst, from, to, n.k.Now(), n.inj.RetryLimit())
+			t.m.Type, t.m.Src, t.m.Dst, t.at, n.links[t.li].To, n.k.Now(), n.inj.RetryLimit())
 	}
 	if n.tracer != nil && t.traceID != 0 {
 		n.tracer.End(obs.PidMessages, t.traceID, t.m.Type.String(),

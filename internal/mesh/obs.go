@@ -77,7 +77,7 @@ func classSlug(c noc.Class) string {
 // hops x channel-traversal cycles and guarantees the components always
 // sum exactly to Total.
 func (n *Network) recordBreakdown(t *transit, class noc.Class) {
-	hops := len(t.route)
+	hops := t.hops
 	total := uint64(n.k.Now() - t.injected)
 	router := uint64(hops+1) * uint64(n.cfg.RouterLatency)
 	serialize := uint64(t.flits - 1)

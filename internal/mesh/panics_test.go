@@ -30,6 +30,24 @@ func mustPanic(t *testing.T, fn func()) string {
 	return msg
 }
 
+// emptyLegs is a mesh whose routes are all empty, so no link is the
+// one-hop route its port table needs.
+type emptyLegs struct{ Mesh }
+
+func (emptyLegs) Legs(src, dst int) Legs { return Legs{} }
+
+// sharedPort is a mesh that routes −X hops out of the +X port, so a
+// router with both neighbours maps two links to one port.
+type sharedPort struct{ Mesh }
+
+func (m sharedPort) Legs(src, dst int) Legs {
+	l := m.Mesh.Legs(src, dst)
+	if l.First.Port == 1 {
+		l.First.Port = 0
+	}
+	return l
+}
+
 // TestPanicPaths drives every defensive panic in the mesh and checks
 // both that it fires and that its message carries the "mesh: " prefix
 // tilesimvet's panic-hygiene rule demands.
@@ -83,14 +101,21 @@ func TestPanicPaths(t *testing.T) {
 			},
 		},
 		{
-			name: "zero-length route",
-			want: "zero-length route",
+			name: "link not one hop",
+			want: "not one hop",
 			fn: func() {
-				n := newNet(DefaultBaseline())
-				// A self-message is rejected by Validate before routing;
-				// the route guard is the backstop should the two ever
-				// disagree. Exercise it directly.
-				n.routeOf(2, 2)
+				cfg := DefaultBaseline()
+				cfg.Topo = emptyLegs{NewMesh(4, 4)}
+				newNet(cfg)
+			},
+		},
+		{
+			name: "two links share a port",
+			want: "share port",
+			fn: func() {
+				cfg := DefaultBaseline()
+				cfg.Topo = sharedPort{NewMesh(4, 4)}
+				newNet(cfg)
 			},
 		},
 		{

@@ -26,12 +26,33 @@ type Coord struct{ X, Y int }
 // enumerates them in canonical order: ascending (From, To).
 type Link struct{ From, To int }
 
+// Legs is a deterministic minimal route between two routers as at
+// most two straight legs: the First leg, then the Second. It holds
+// four scalars, not arrays, so Go's register ABI returns it in
+// registers; Legs is computed once per message.
+type Legs struct{ First, Second Leg }
+
+// Leg is Hops hops out of port Port, each hop leaving the router it
+// reached on the same port. An empty leg's port is unused. Ports name
+// a router's outgoing links: 0–3 are +X, −X, +Y and −Y on mesh, cmesh
+// and torus; on slim, the row hop to column x leaves on port x and the
+// column hop to row y on port W+y.
+type Leg struct{ Port, Hops int32 }
+
+// trimmed returns l with an empty first leg dropped, so that a route
+// with any hops starts on the First leg.
+func (l Legs) trimmed() Legs {
+	if l.First.Hops == 0 {
+		return Legs{First: l.Second}
+	}
+	return l
+}
+
 // Topology abstracts the interconnect graph: how many tiles attach to
 // it, how tiles map onto routers, and how messages route between
 // routers. All methods are pure and deterministic — the same receiver
 // always returns the same values, in the same order — which is what
-// lets routes be cached per (src,dst) router pair and lets same-seed
-// runs stay byte-identical (DESIGN.md §14).
+// lets same-seed runs stay byte-identical (DESIGN.md §14).
 type Topology interface {
 	// Name is the short topology identifier used in flags and canonical
 	// config encodings ("mesh", "cmesh", "torus", "slim").
@@ -45,15 +66,12 @@ type Topology interface {
 	Nodes() int
 	// NodeOf maps a tile id to the router it attaches to.
 	NodeOf(tile int) int
-	// AppendRoute appends the deterministic minimal route from router
-	// src to router dst to buf, as the ordered list of
-	// intermediate+final router ids (excluding src), and returns the
-	// extended slice. An empty route means src == dst. Repeated calls
-	// append equal routes; a caller reusing one buffer builds routes
-	// without allocating.
-	AppendRoute(buf []int, src, dst int) []int
+	// Legs returns the deterministic minimal route from router src to
+	// router dst; it is empty exactly when src == dst. Each link
+	// (a, b) is the one-hop route Legs(a, b), which names its port.
+	Legs(src, dst int) Legs
 	// Hops returns the minimal hop count between routers, equal to
-	// len(AppendRoute(nil, src, dst)).
+	// the hops of both legs of Legs(src, dst).
 	Hops(src, dst int) int
 	// Neighbors returns the routers directly linked from a router, in
 	// ascending id order.
@@ -121,40 +139,33 @@ func (g grid) IDOf(c Coord) int {
 	return c.Y*g.W + c.X
 }
 
-// appendRouteXY is the shared XY dimension-order walk: resolve X
-// fully, then Y, stepping one grid coordinate at a time. wrap selects
-// the torus step (shorter way around) over the mesh step; both
-// dimensions' step choices are pure functions of (from, to), so the
-// route is deterministic.
-func (g grid) appendRouteXY(buf []int, src, dst int, wrap bool) []int {
-	a, b := g.CoordOf(src), g.CoordOf(dst)
-	for a.X != b.X {
-		a.X = axisStep(a.X, b.X, g.W, wrap)
-		buf = append(buf, g.IDOf(a))
-	}
-	for a.Y != b.Y {
-		a.Y = axisStep(a.Y, b.Y, g.H, wrap)
-		buf = append(buf, g.IDOf(a))
-	}
-	return buf
+// legsXY is the shared dimension-order route: the X leg on ports
+// 0 (+X) or 1 (−X), then the Y leg on ports 2 (+Y) or 3 (−Y). wrap
+// selects the torus leg over the mesh leg. It runs once per message,
+// so it does the row-major arithmetic inline instead of calling
+// CoordOf.
+func (g grid) legsXY(src, dst int, wrap bool) Legs {
+	dx, hx := axisLeg(src%g.W, dst%g.W, g.W, wrap)
+	dy, hy := axisLeg(src/g.W, dst/g.W, g.H, wrap)
+	return Legs{First: Leg{dx, hx}, Second: Leg{2 + dy, hy}}
 }
 
-// axisStep moves one unit from toward to on an axis of size n. On an
-// unwrapped axis it steps straight toward to. On a wrapped axis it
-// takes the shorter way around; on a tie (to is exactly n/2 away) it
-// deterministically steps in the positive direction.
-func axisStep(from, to, n int, wrap bool) int {
-	if !wrap {
-		if from < to {
-			return from + 1
+// axisLeg returns the direction (0 positive, 1 negative) and hop count
+// from toward to on an axis of size n. On an unwrapped axis it heads
+// straight toward to. On a wrapped axis it takes the shorter way
+// around; on a tie (to is exactly n/2 away) it deterministically takes
+// the positive direction. Routes run between random pairs, so the
+// sign tests use masks, not branches the predictor would miss.
+func axisLeg(from, to, n int, wrap bool) (dir, hops int32) {
+	d := to - from
+	if wrap {
+		d += n & (d >> 63) // hops going +1 with wrap
+		if n-d < d {
+			d -= n
 		}
-		return from - 1
 	}
-	fwd := (to - from + n) % n // steps going +1 with wrap
-	if fwd <= n-fwd {
-		return (from + 1) % n
-	}
-	return (from - 1 + n) % n
+	neg := d >> 63
+	return int32(-neg), int32((d ^ neg) - neg)
 }
 
 // wrapDist is the minimal wrapped distance between two coordinates on
@@ -206,10 +217,8 @@ func (m Mesh) Hops(src, dst int) int {
 	return abs(a.X-b.X) + abs(a.Y-b.Y)
 }
 
-// AppendRoute implements Topology: XY dimension-order routing.
-func (m Mesh) AppendRoute(buf []int, src, dst int) []int {
-	return m.appendRouteXY(buf, src, dst, false)
-}
+// Legs implements Topology: XY dimension-order routing.
+func (m Mesh) Legs(src, dst int) Legs { return m.legsXY(src, dst, false) }
 
 // Neighbors implements Topology.
 func (m Mesh) Neighbors(node int) []int {
@@ -281,11 +290,8 @@ func (m CMesh) Hops(src, dst int) int {
 	return abs(a.X-b.X) + abs(a.Y-b.Y)
 }
 
-// AppendRoute implements Topology: XY dimension-order routing over
-// routers.
-func (m CMesh) AppendRoute(buf []int, src, dst int) []int {
-	return m.appendRouteXY(buf, src, dst, false)
-}
+// Legs implements Topology: XY dimension-order routing over routers.
+func (m CMesh) Legs(src, dst int) Legs { return m.legsXY(src, dst, false) }
 
 // Neighbors implements Topology.
 func (m CMesh) Neighbors(node int) []int { return Mesh{m.grid}.Neighbors(node) }
@@ -332,11 +338,9 @@ func (t Torus) Hops(src, dst int) int {
 	return wrapDist(a.X, b.X, t.W) + wrapDist(a.Y, b.Y, t.H)
 }
 
-// AppendRoute implements Topology: XY dimension-order routing, shorter
-// way around each axis, ties broken toward the positive direction.
-func (t Torus) AppendRoute(buf []int, src, dst int) []int {
-	return t.appendRouteXY(buf, src, dst, true)
-}
+// Legs implements Topology: XY dimension-order routing, shorter way
+// around each axis, ties broken toward the positive direction.
+func (t Torus) Legs(src, dst int) Legs { return t.legsXY(src, dst, true) }
 
 // Neighbors implements Topology.
 func (t Torus) Neighbors(node int) []int {
@@ -398,19 +402,19 @@ func (s Slim) Hops(src, dst int) int {
 	return h
 }
 
-// AppendRoute implements Topology: dimension-order — the single row hop
-// to the destination column first, then the single column hop.
-func (s Slim) AppendRoute(buf []int, src, dst int) []int {
+// Legs implements Topology: dimension-order — the single row hop to
+// the destination column (port b.X) first, then the single column hop
+// (port W+b.Y).
+func (s Slim) Legs(src, dst int) Legs {
 	a, b := s.CoordOf(src), s.CoordOf(dst)
+	l := Legs{First: Leg{Port: int32(b.X)}, Second: Leg{Port: int32(s.W + b.Y)}}
 	if a.X != b.X {
-		a.X = b.X
-		buf = append(buf, s.IDOf(a))
+		l.First.Hops = 1
 	}
 	if a.Y != b.Y {
-		a.Y = b.Y
-		buf = append(buf, s.IDOf(a))
+		l.Second.Hops = 1
 	}
-	return buf
+	return l
 }
 
 // Neighbors implements Topology: the rest of the row and the column.

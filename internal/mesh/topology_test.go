@@ -4,8 +4,6 @@ import (
 	"reflect"
 	"sort"
 	"testing"
-
-	"tilesim/internal/sim"
 )
 
 // topologies64 returns one 64-tile instance of every topology, the
@@ -69,18 +67,19 @@ func TestTopologyHopsSymmetry(t *testing.T) {
 }
 
 // TestTopologyRoutesAreMinimal checks the triangle equality on minimal
-// routes: every step of AppendRoute(nil, src, dst) crosses exactly one
-// link and decreases the remaining hop count by exactly one, so
-// len(AppendRoute(nil, src, dst)) == Hops(src,dst) with no detours.
+// routes: every hop of the legs walk from src to dst crosses exactly one
+// link and decreases the remaining hop count by exactly one, so the walk
+// takes Hops(src, dst) hops with no detours.
 func TestTopologyRoutesAreMinimal(t *testing.T) {
 	for _, topo := range topologies64() {
+		walk := legsWalker(t, topo)
 		links := make(map[Link]bool, len(topo.Links()))
 		for _, l := range topo.Links() {
 			links[l] = true
 		}
 		for src := 0; src < topo.Nodes(); src++ {
 			for dst := 0; dst < topo.Nodes(); dst++ {
-				route := topo.AppendRoute(nil, src, dst)
+				route := walk(src, dst)
 				if len(route) != topo.Hops(src, dst) {
 					t.Fatalf("%s: %d->%d route length %d != hops %d",
 						topo.Name(), src, dst, len(route), topo.Hops(src, dst))
@@ -101,19 +100,6 @@ func TestTopologyRoutesAreMinimal(t *testing.T) {
 							topo.Name(), src, dst, next, got, left-1)
 					}
 					at, left = next, left-1
-				}
-			}
-		}
-	}
-}
-
-func TestTopologyRouteDeterminism(t *testing.T) {
-	for _, topo := range topologies64() {
-		for src := 0; src < topo.Nodes(); src++ {
-			for dst := 0; dst < topo.Nodes(); dst++ {
-				a, b := topo.AppendRoute(nil, src, dst), topo.AppendRoute(nil, src, dst)
-				if !reflect.DeepEqual(a, b) {
-					t.Fatalf("%s: %d->%d routed %v then %v", topo.Name(), src, dst, a, b)
 				}
 			}
 		}
@@ -185,8 +171,11 @@ func TestTorusTieBreakIsPositive(t *testing.T) {
 	tor := NewTorus(8, 8)
 	// 0 -> 4 on the top row: both directions are 4 hops; the tie must
 	// deterministically resolve to the positive direction 1,2,3,4.
+	if got := tor.Legs(0, 4); got.First != (Leg{Port: 0, Hops: 4}) || got.Second.Hops != 0 {
+		t.Fatalf("torus tie-broken legs %+v, want 4 hops out of port 0 (+X)", got)
+	}
 	want := []int{1, 2, 3, 4}
-	if got := tor.AppendRoute(nil, 0, 4); !reflect.DeepEqual(got, want) {
+	if got := legsWalker(t, tor)(0, 4); !reflect.DeepEqual(got, want) {
 		t.Fatalf("torus tie-broken route %v, want %v", got, want)
 	}
 }
@@ -254,50 +243,7 @@ func TestMeshAsymmetricRowIsLegal(t *testing.T) {
 	if m.Tiles() != 4 {
 		t.Fatalf("1x4 mesh tiles = %d", m.Tiles())
 	}
-	if got := m.AppendRoute(nil, 0, 3); len(got) != 3 {
+	if got := legsWalker(t, m)(0, 3); !reflect.DeepEqual(got, []int{1, 2, 3}) {
 		t.Fatalf("1x4 mesh route 0->3 = %v", got)
-	}
-}
-
-// TestCachedRoutesFollowAppendRoute checks the network's link-id route
-// cache against the topology: for every router pair of every topology
-// at 16 and 64 tiles, the cached links chain from src to dst and visit
-// exactly the routers AppendRoute lists — on first build and on a cache
-// hit.
-func TestCachedRoutesFollowAppendRoute(t *testing.T) {
-	topos := append([]Topology{
-		NewMesh(4, 4),
-		NewCMesh(2, 2, 4),
-		NewTorus(4, 4),
-		NewSlim(4, 4),
-	}, topologies64()...)
-	for _, topo := range topos {
-		cfg := DefaultBaseline()
-		cfg.Topo = topo
-		n := New(sim.NewKernel(), cfg, nil)
-		for pass := 0; pass < 2; pass++ {
-			for src := 0; src < topo.Nodes(); src++ {
-				for dst := 0; dst < topo.Nodes(); dst++ {
-					if src == dst {
-						continue
-					}
-					want := topo.AppendRoute(nil, src, dst)
-					links := n.routeOf(src, dst)
-					if len(links) != len(want) {
-						t.Fatalf("%s %d->%d: %d cached links, route has %d hops",
-							topo.Label(), src, dst, len(links), len(want))
-					}
-					at := src
-					for i, li := range links {
-						l := n.links[li]
-						if l.From != at || l.To != want[i] {
-							t.Fatalf("%s %d->%d: hop %d is link %d (%d->%d), want %d->%d",
-								topo.Label(), src, dst, i, li, l.From, l.To, at, want[i])
-						}
-						at = l.To
-					}
-				}
-			}
-		}
 	}
 }
